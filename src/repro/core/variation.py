@@ -13,10 +13,10 @@ the SOS value of the segment covering that time bin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .sos import SOSResult
 
@@ -179,6 +179,14 @@ def mann_kendall(values: np.ndarray) -> tuple[float, float]:
     Returns ``(tau, p_value)``.  Implemented with the normal
     approximation including the tie correction; for fewer than 3 finite
     values returns ``(0.0, 1.0)``.
+
+    The two-sided p-value uses the identity ``2 * Phi(-|z|) =
+    erfc(|z| / sqrt(2))``, so the standard library's ``math.erfc``
+    replaces a normal survival function.  Against
+    ``2 * scipy.stats.norm.sf(|z|)`` the measured relative error stays
+    below 4.5e-13 over 300k values of ``z`` in ``[0, 38]`` (scipy
+    underflows to 0 in the last ~0.3 of that range, where ``erfc``
+    still returns a subnormal).
     """
     v = np.asarray(values, dtype=np.float64)
     v = v[np.isfinite(v)]
@@ -201,7 +209,7 @@ def mann_kendall(values: np.ndarray) -> tuple[float, float]:
         z = (s + 1) / np.sqrt(var_s)
     else:
         z = 0.0
-    p = 2.0 * float(_scipy_stats.norm.sf(abs(z)))
+    p = math.erfc(abs(z) / math.sqrt(2.0))
     return tau, p
 
 

@@ -310,6 +310,12 @@ def decode_column(buf, base: int, spec: dict, n: int, where: str) -> np.ndarray:
     dtype = parse_dtype(spec["dtype"], where, BinaryFormatError)
     start = base + spec["offset"]
     length = spec["length"]
+    if start + length > len(buf):
+        raise BinaryFormatError(
+            f"{where}: chunk [{spec['offset']}, {spec['offset'] + length}) "
+            f"runs past the end of the payload ({len(buf) - base} bytes); "
+            f"file is truncated"
+        )
     if codec == "raw":
         if length != n * dtype.itemsize:
             raise BinaryFormatError(
@@ -320,7 +326,10 @@ def decode_column(buf, base: int, spec: dict, n: int, where: str) -> np.ndarray:
             return np.frombuffer(buf, dtype=dtype, count=n, offset=start)
         except ValueError as err:
             raise BinaryFormatError(f"{where}: {err}") from err
-    raw = zlib.decompress(bytes(memoryview(buf)[start:start + length]))
+    try:
+        raw = zlib.decompress(bytes(memoryview(buf)[start:start + length]))
+    except zlib.error as err:
+        raise BinaryFormatError(f"{where}: corrupt zlib blob: {err}") from err
     arr = np.frombuffer(raw, dtype=dtype)
     if len(arr) != n:
         raise BinaryFormatError(

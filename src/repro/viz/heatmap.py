@@ -163,16 +163,16 @@ def render_sos_svg(
         values = sos[rank].sos
         y = top + row * (plot_h / n_ranks)
         h = plot_h / n_ranks
-        for j in range(0, len(rs), stride):
+        colors = cmap(values[::stride], lo, hi)
+        for k, j in enumerate(range(0, len(rs), stride)):
             x = left + (rs.t_start[j] - t0) / span * plot_w
             w = max((rs.t_stop[j] - rs.t_start[j]) / span * plot_w, 0.3)
-            color = cmap(np.asarray([values[j]]), lo, hi)[0]
             svg.rect(
                 x,
                 y,
                 w,
                 h,
-                hex_color(tuple(color)),
+                hex_color(tuple(colors[k])),
                 title=(
                     f"rank {rank}, segment {j}: SOS "
                     f"{format_seconds(float(values[j]))}"

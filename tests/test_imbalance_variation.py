@@ -191,6 +191,48 @@ class TestMannKendall:
         assert _kendall_s(np.asarray([1.0, 3.0, 2.0])) == 1
 
 
+def _reference_mk_z(v):
+    """Mann–Kendall z from the textbook O(n²) sign matrix."""
+    n = len(v)
+    s = float(np.sign(v[None, :] - v[:, None])[np.triu_indices(n, k=1)].sum())
+    _, counts = np.unique(v, return_counts=True)
+    var_s = (n * (n - 1) * (2 * n + 5)
+             - float(np.sum(counts * (counts - 1) * (2 * counts + 5)))) / 18.0
+    return (s - np.sign(s)) / np.sqrt(var_s)
+
+
+class TestScipyReference:
+    """scipy is a test-only dependency: the stdlib/numpy estimators must
+    reproduce the scipy formulations they replaced."""
+
+    def test_mann_kendall_p_matches_norm_sf(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(7)
+        zs = []
+        for n in (3, 4, 7, 12, 40, 150, 600):
+            for slope in (0.0, 0.002, 0.01, 0.05, 0.3, 1.0, 1e9):
+                # Rounding to one decimal plants ties.
+                v = np.round(slope * np.arange(n) + rng.normal(size=n), 1)
+                z = _reference_mk_z(v)
+                _, p = mann_kendall(v)
+                expected = 2.0 * stats.norm.sf(abs(z))
+                assert p == pytest.approx(expected, rel=1e-12, abs=0.0), (n, z)
+                zs.append(abs(z))
+        # The grid spans the centre and the far tail (|z| > 35, p < 1e-260).
+        assert min(zs) < 0.5 and max(zs) > 35.0
+
+    def test_theil_sen_bitwise_equals_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        from repro.core.variation import theil_sen_slope
+
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 10, 57, 200):
+            for decimals in (0, 1, 3):
+                y = np.round(0.05 * np.arange(n) + rng.normal(size=n), decimals)
+                expected = stats.theilslopes(y, np.arange(n))[0]
+                assert theil_sen_slope(y) == expected, (n, decimals)
+
+
 class TestDetectTrend:
     def test_increasing_trend(self):
         steps = np.linspace(1.0, 2.0, 30)

@@ -6,7 +6,11 @@ hang, or silently return garbage that later explodes in analysis.
 """
 
 import json
+import os
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -279,3 +283,75 @@ class TestTraceIndexStrictness:
         assert sorted(lazy.ranks) == sorted(eager.ranks)
         for rank in eager.ranks:
             assert lazy.events_of(rank) == eager.events_of(rank)
+
+
+def _blob_cuts(data: bytes) -> list[int]:
+    """File offsets that fall mid-way into the first, a middle and the
+    last compressed column blob of an ``.rpt`` file."""
+    import struct
+
+    from repro.trace.binio import payload_start
+
+    version, hlen = struct.unpack_from("<HI", data, 4)
+    header = json.loads(data[10 : 10 + hlen])
+    base = payload_start(hlen, version)
+    specs = sorted(
+        (spec for loc in header["locations"] for spec in loc["columns"].values()),
+        key=lambda spec: spec["offset"],
+    )
+    picks = (specs[0], specs[len(specs) // 2], specs[-1])
+    return [base + spec["offset"] + spec["length"] // 2 for spec in picks]
+
+
+class TestTruncatedZlibColumns:
+    """A trace cut inside a zlib column blob is a bad input, not a
+    crash: every reading command exits 2 with one ``error:`` line."""
+
+    COMMANDS = ("analyze", "info", "profile", "stats", "monitor")
+
+    @pytest.fixture(scope="class", params=[1, 2], ids=["v1", "v2-zlib"])
+    def rpt_bytes(self, request, tmp_path_factory):
+        path = tmp_path_factory.mktemp("trunc") / "t.rpt"
+        codec = "zlib" if request.param == 2 else None
+        write_binary(figure3_trace(), path, version=request.param, codec=codec)
+        return path.read_bytes()
+
+    def test_reader_raises_format_error(self, rpt_bytes, tmp_path):
+        path = tmp_path / "cut.rpt"
+        for cut in _blob_cuts(rpt_bytes):
+            path.write_bytes(rpt_bytes[:cut])
+            with pytest.raises(BinaryFormatError, match="file is truncated"):
+                read_binary(path)
+
+    def test_corrupt_blob_raises_format_error(self, rpt_bytes, tmp_path):
+        data = bytearray(rpt_bytes)
+        cut = _blob_cuts(rpt_bytes)[0]
+        data[cut - 4 : cut + 4] = b"\xff" * 8
+        path = tmp_path / "bad.rpt"
+        path.write_bytes(bytes(data))
+        with pytest.raises(BinaryFormatError, match="zlib"):
+            read_binary(path)
+
+    def test_cli_exits_2_without_traceback(self, rpt_bytes, tmp_path):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        for i, cut in enumerate(_blob_cuts(rpt_bytes)):
+            path = tmp_path / f"cut{i}.rpt"
+            path.write_bytes(rpt_bytes[:cut])
+            for command in self.COMMANDS:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "repro", command, str(path)],
+                    capture_output=True,
+                    text=True,
+                    env=env,
+                    timeout=120,
+                )
+                where = f"{command} on a cut at byte {cut}"
+                assert proc.returncode == 2, (where, proc.stderr)
+                assert "Traceback" not in proc.stderr, where
+                lines = proc.stderr.strip().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error:"), (
+                    where, proc.stderr)

@@ -1,5 +1,7 @@
 """Tests for chart renderers: timeline, heat maps, counters, profile, ASCII."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from repro.core import analyze_trace
 from repro.profiles import profile_trace, replay_trace
 from repro.sim.workloads.synthetic import SyntheticConfig, generate
 from repro.viz import (
+    COLD_HOT,
     heat_image,
     heat_to_ansi,
     match_messages,
@@ -185,6 +188,25 @@ class TestSOSSvg:
     def test_tooltips_present(self, viz_analysis):
         svg = render_sos_svg(viz_analysis)
         assert "rank 2, segment" in svg.tostring()
+
+    @pytest.mark.parametrize(
+        "max_rects,digest",
+        [
+            (60000, "20da2376c73202959a4d719d512f3a123215aeb582ef5fce049b5b1772bf93a7"),
+            (20, "bc4174d10ca30ef35e308fa74eb242b7ed89b53766874da90b41ee41f853de10"),
+        ],
+    )
+    def test_bytes_pinned(self, viz_analysis, max_rects, digest):
+        # Rects are coloured one rank row at a time; the bytes must match
+        # the per-rect colouring they replaced, batched (stride > 1) too.
+        text = render_sos_svg(viz_analysis, max_rects=max_rects).tostring()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_row_colours_equal_per_value_colours(self):
+        values = np.asarray([0.5, np.nan, -1.0, 2.0, 1.25, np.inf, 0.0, 1.0])
+        row = COLD_HOT(values, 0.0, 1.5)
+        single = np.stack([COLD_HOT(np.asarray([v]), 0.0, 1.5)[0] for v in values])
+        assert np.array_equal(row, single)
 
 
 class TestAsciiArt:
