@@ -46,8 +46,8 @@ import numpy as np
 
 from .. import obs
 from ..profiles.profile import TraceProfile
-from ..profiles.replay import InvocationTable, match_invocations, replay_trace
-from ..profiles.stats import FunctionStatistics, compute_statistics
+from ..profiles.replay import InvocationTable
+from ..profiles.stats import FunctionStatistics, rank_statistics_arrays
 from ..trace.fingerprint import (
     TraceFingerprint,
     combine_fingerprint,
@@ -55,7 +55,7 @@ from ..trace.fingerprint import (
     fingerprint_trace,
 )
 from ..trace.trace import Trace
-from ..trace.validate import ValidationIssue, ValidationReport, validate_trace
+from ..trace.validate import ValidationIssue, ValidationReport
 from .classify import SyncClassifier
 from .dominant import DominantSelection, select_dominant
 from .imbalance import ImbalanceReport, detect_imbalances
@@ -319,9 +319,6 @@ class AnalysisSession:
     cache_dir:
         Directory for persistent ``.npz`` artifacts.  ``None`` keeps
         everything in memory only.
-    parallel:
-        Replay parallelism, forwarded to
-        :func:`repro.profiles.replay.replay_trace`.
     memory_entries:
         Bound of the in-memory LRU holding per-region products
         (segmentations, SOS results, detections, trends, heat grids).
@@ -347,7 +344,6 @@ class AnalysisSession:
         trace: Trace | None,
         config=None,
         cache_dir: str | os.PathLike | None = None,
-        parallel: bool | int | None = None,
         memory_entries: int = 128,
         shards: int | None = None,
         max_memory_mb: float | None = None,
@@ -365,7 +361,6 @@ class AnalysisSession:
         #: optional LintConfig; when set, the pre-flight gate runs the
         #: full tracelint rule set instead of the legacy validate subset
         self.lint_config = lint or None
-        self.parallel = parallel
         self.shards = shards
         self.max_memory_mb = max_memory_mb
         if chunk_events is not None and chunk_events <= 0:
@@ -402,7 +397,8 @@ class AnalysisSession:
         self._memo = _LRU(memory_entries)
         self._fingerprint: TraceFingerprint | None = None
         self._tables: dict[int, InvocationTable] | None = None
-        self._partials: dict[int, dict[str, np.ndarray]] | None = None
+        #: statistics partials of the ranks the fused pass replayed
+        self._partials: dict[int, dict[str, np.ndarray]] = {}
         self._profile: TraceProfile | None = None
         self._validated = False
         self._boot = None  # ShardBootstrap (lazy)
@@ -421,7 +417,8 @@ class AnalysisSession:
             if self.sharded:
                 self._shard_bootstrap()  # assembles the fingerprint
             else:
-                self._fingerprint = fingerprint_trace(self.trace)
+                with obs.span("trace.fingerprint"):
+                    self._fingerprint = fingerprint_trace(self.trace)
         return self._fingerprint
 
     @property
@@ -571,7 +568,6 @@ class AnalysisSession:
         # broken traces surface as diagnostics, not replay errors.
         self._ensure_valid()
         if self._tables is not None:
-            # The fused pass inside _ensure_valid already replayed.
             return self._tables
         if self.sharded:
             boot = self._shard_bootstrap()
@@ -579,39 +575,8 @@ class AnalysisSession:
             self._tables = {
                 rank: engine.load_table(rank) for rank in sorted(boot.digests)
             }
-            return self._tables
-        ranks = self.trace.ranks
-        tables: dict[int, InvocationTable] = {}
-        missing: list[int] = []
-        if self.cache is not None:
-            for rank, digest in self.fingerprint.per_rank:
-                arrays = self.cache.load(f"inv-{digest}")
-                if arrays is None or "table" not in arrays:
-                    missing.append(rank)
-                    continue
-                tables[rank] = _table_from_arrays(arrays)
-                self.stats._bump(self.stats.disk_hits, "replay")
         else:
-            missing = list(ranks)
-        if missing:
-            with obs.span("session.replay"):
-                if len(missing) == len(ranks):
-                    computed = replay_trace(self.trace, parallel=self.parallel)
-                else:
-                    computed = {
-                        rank: match_invocations(self.trace.events_of(rank))
-                        for rank in missing
-                    }
-            self.stats._bump(self.stats.computed, "replay", len(missing))
-            for rank in missing:
-                tables[rank] = computed[rank]
-                if self.cache is not None:
-                    digest = self.fingerprint.rank_digest(rank)
-                    self.cache.store(
-                        f"inv-{digest}", _table_to_arrays(computed[rank])
-                    )
-                    self.stats._bump(self.stats.disk_writes, "replay")
-        self._tables = {rank: tables[rank] for rank in ranks}
+            self._bootstrap()
         return self._tables
 
     def profile(self) -> TraceProfile:
@@ -629,15 +594,9 @@ class AnalysisSession:
             )
         else:
             tables = self.replay()
-            if self._partials is not None:
-                partials = self._partials
-                compute = lambda: FunctionStatistics.from_partials(  # noqa: E731
-                    self.trace, partials
-                )
-            else:
-                compute = lambda: compute_statistics(  # noqa: E731
-                    self.trace, tables
-                )
+            compute = lambda: FunctionStatistics.from_partials(  # noqa: E731
+                self.trace, self._rank_partials()
+            )
         stats = self._stage(
             "stats",
             (),
@@ -877,47 +836,75 @@ class AnalysisSession:
             # set during bootstrap; issues raise there.
             self._shard_bootstrap()
             return
-        if self.cache is None:
-            # No artifacts to key: fuse validation, replay and the
-            # statistics partials into one pass over the event streams
-            # (the cache path needs the fingerprint anyway, so the
-            # staged flow costs it nothing extra there).
-            self._fused_run()
-            return
-        # Validity is a pure function of content, so a marker artifact
-        # keyed by the fingerprint lets warm sessions skip the scan.
-        marker = f"valid-{self.fingerprint.hexdigest}"
-        if self.cache is not None and self.cache.load(marker) is not None:
-            self.stats._bump(self.stats.disk_hits, "validate")
-            self._validated = True
-            return
-        with obs.span("session.validate"):
-            validate_trace(self.trace).raise_if_invalid()
-        self.stats._bump(self.stats.computed, "validate")
-        if self.cache is not None:
-            self.cache.store(marker, {"ok": np.ones(1, dtype=np.int8)})
-            self.stats._bump(self.stats.disk_writes, "validate")
-        self._validated = True
+        self._bootstrap()
 
-    def _fused_run(self) -> None:
-        """Single fused pass over the event streams (cache-less mode).
+    def _bootstrap(self) -> None:
+        """Validate, replay and profile-aggregate (non-sharded sessions).
 
-        Validation, stack replay and the per-rank statistics partials
-        all come from one :func:`repro.core.fused.fused_bootstrap` call
-        sharing one enter/leave pairing per rank; results are bitwise
-        identical to the staged flow.
+        The one route to tables and statistics partials: a single
+        :func:`repro.core.fused.fused_bootstrap` call validates the
+        trace unless that already happened (lint pre-flight, or a
+        ``valid-*`` marker in the cache) and replays exactly the ranks
+        whose ``inv-*`` table is not cached.  A validated trace whose
+        tables are all cached makes no call at all.
         """
         from .fused import fused_bootstrap
 
-        with obs.span("fused.bootstrap"):
-            boot = fused_bootstrap(self.trace)
-        boot.report.raise_if_invalid()
-        self.stats._bump(self.stats.computed, "validate")
-        self._validated = True
-        ranks = self.trace.ranks
-        self._tables = {rank: boot.tables[rank] for rank in ranks}
-        self._partials = boot.partials
-        self.stats._bump(self.stats.computed, "replay", len(ranks))
+        validate = self.config.validate and not self._validated
+        tables: dict[int, InvocationTable] = {}
+        missing = list(self.trace.ranks)
+        if self.cache is not None:
+            # Validity is a pure function of content, so a marker
+            # artifact keyed by the fingerprint lets warm sessions skip
+            # the scan.
+            marker = f"valid-{self.fingerprint.hexdigest}"
+            if validate and self.cache.load(marker) is not None:
+                self.stats._bump(self.stats.disk_hits, "validate")
+                self._validated = True
+                validate = False
+            missing = []
+            for rank, digest in self.fingerprint.per_rank:
+                arrays = self.cache.load(f"inv-{digest}")
+                if arrays is None or "table" not in arrays:
+                    missing.append(rank)
+                    continue
+                tables[rank] = _table_from_arrays(arrays)
+                self.stats._bump(self.stats.disk_hits, "replay")
+        if validate or missing:
+            with obs.span("fused.bootstrap"):
+                boot = fused_bootstrap(
+                    self.trace, validate=validate, table_ranks=missing
+                )
+            boot.report.raise_if_invalid()
+            if validate:
+                self.stats._bump(self.stats.computed, "validate")
+                self._validated = True
+                if self.cache is not None:
+                    self.cache.store(marker, {"ok": np.ones(1, dtype=np.int8)})
+                    self.stats._bump(self.stats.disk_writes, "validate")
+            self.stats._bump(self.stats.computed, "replay", len(missing))
+            for rank in missing:
+                tables[rank] = boot.tables[rank]
+                if self.cache is not None:
+                    digest = self.fingerprint.rank_digest(rank)
+                    self.cache.store(
+                        f"inv-{digest}", _table_to_arrays(tables[rank])
+                    )
+                    self.stats._bump(self.stats.disk_writes, "replay")
+            self._partials = boot.partials
+        self._tables = {rank: tables[rank] for rank in self.trace.ranks}
+
+    def _rank_partials(self) -> dict[int, dict[str, np.ndarray]]:
+        """Statistics partials for every rank; ranks whose table came
+        from the cache are aggregated here."""
+        n_regions = len(self.trace.regions)
+        partials = self._partials
+        return {
+            rank: partials[rank]
+            if rank in partials
+            else rank_statistics_arrays(table, n_regions)
+            for rank, table in self._tables.items()
+        }
 
     def analysis_for(self, selection: DominantSelection):
         """Assemble a :class:`VariationAnalysis` for an explicit selection.

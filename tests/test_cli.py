@@ -278,13 +278,6 @@ class TestSessionCacheCLI:
         assert main(["analyze", str(trace_path), "--cache-dir",
                      str(cache)]) == 0
 
-    def test_analyze_parallel(self, trace_path, capsys):
-        assert main(["analyze", str(trace_path), "--parallel", "2"]) == 0
-
-    def test_analyze_parallel_zero_rejected(self, trace_path, capsys):
-        assert main(["analyze", str(trace_path), "--parallel", "0"]) == 2
-        assert "--parallel" in capsys.readouterr().err
-
     def test_render_with_cache_dir(self, trace_path, tmp_path):
         cache = tmp_path / "cache"
         out = tmp_path / "views"

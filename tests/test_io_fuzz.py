@@ -333,25 +333,51 @@ class TestTruncatedZlibColumns:
             read_binary(path)
 
     def test_cli_exits_2_without_traceback(self, rpt_bytes, tmp_path):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p
-        )
         for i, cut in enumerate(_blob_cuts(rpt_bytes)):
             path = tmp_path / f"cut{i}.rpt"
             path.write_bytes(rpt_bytes[:cut])
             for command in self.COMMANDS:
-                proc = subprocess.run(
-                    [sys.executable, "-m", "repro", command, str(path)],
-                    capture_output=True,
-                    text=True,
-                    env=env,
-                    timeout=120,
+                _assert_bad_input(
+                    [command, str(path)], f"{command} on a cut at byte {cut}"
                 )
-                where = f"{command} on a cut at byte {cut}"
-                assert proc.returncode == 2, (where, proc.stderr)
-                assert "Traceback" not in proc.stderr, where
-                lines = proc.stderr.strip().splitlines()
-                assert len(lines) == 1 and lines[0].startswith("error:"), (
-                    where, proc.stderr)
+
+
+def _assert_bad_input(argv: list[str], where: str) -> None:
+    """Run ``repro argv`` in a fresh interpreter; it must exit 2 with
+    one ``error:`` line and no traceback."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "repro", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2, (where, proc.stderr)
+    assert "Traceback" not in proc.stderr, where
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), (where, proc.stderr)
+
+
+class TestTornJsonlRecord:
+    """A ``.jsonl`` trace whose last events record was cut short.
+
+    The chunk index reads only each record's prefix, so the defect
+    surfaces mid-run in the commands that read lazily — which must
+    still report it as bad input."""
+
+    def test_lazy_readers_exit_2_without_traceback(self, jsonl_text, tmp_path):
+        good = tmp_path / "good.jsonl"
+        torn = tmp_path / "torn.jsonl"
+        good.write_text(jsonl_text)
+        torn.write_text(jsonl_text.rstrip("\n")[:-20])
+        for argv in (
+            ["monitor", str(torn)],
+            ["analyze", str(torn), "--shards", "2"],
+            ["compare", str(torn), str(good), "--shards", "2"],
+        ):
+            _assert_bad_input(argv, " ".join(argv[:1] + argv[2:]))

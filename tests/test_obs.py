@@ -671,6 +671,15 @@ class TestCLI:
         lint_out = capsys.readouterr().out
         assert "0 errors" in lint_out
 
+    def test_cache_run_reports_fingerprint_span(
+        self, trace_path, tmp_path, capsys
+    ):
+        assert main([
+            "analyze", str(trace_path), "--cache-dir", str(tmp_path / "c"),
+            "--stats",
+        ]) == 0
+        assert "trace.fingerprint" in capsys.readouterr().out
+
     def test_self_trace_bit_stable_without_mmap(
         self, trace_path, tmp_path, monkeypatch, capsys
     ):

@@ -10,13 +10,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import AnalysisSession, analyze_trace
+import sys
+
+from repro.core import AnalysisConfig, AnalysisSession, analyze_trace
 from repro.core.classify import SyncClassifier
+from repro.core.fused import fused_bootstrap
+from repro.core.segments import segment_trace
 from repro.core.session import ArtifactCache, SessionStats, _LRU
-from repro.profiles import replay_trace
-from repro.trace import read_trace, write_binary, write_jsonl
+from repro.core.sos import compute_sos
+from repro.profiles.replay import replay_trace
+from repro.profiles.stats import FunctionStatistics, compute_statistics
+from repro.trace import (
+    Location,
+    Trace,
+    read_trace,
+    validate_trace,
+    write_binary,
+    write_jsonl,
+)
 from repro.trace.builder import TraceBuilder
 from repro.trace.definitions import Paradigm
+from repro.trace.events import EventKind, EventListBuilder
 from repro.trace.fingerprint import (
     fingerprint_definitions,
     fingerprint_events,
@@ -174,6 +188,119 @@ class TestZeroRecomputation:
         assert session.stats.total_computed("sos") == 2
 
 
+@pytest.fixture()
+def no_staged_pipeline(monkeypatch):
+    """Make the staged reference pipeline raise wherever it is bound."""
+    staged = {validate_trace, replay_trace, compute_statistics}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("session ran the staged reference pipeline")
+
+    for name, module in list(sys.modules.items()):
+        if name == "repro" or name.startswith("repro."):
+            for attr in ("validate_trace", "replay_trace", "compute_statistics"):
+                if getattr(module, attr, None) in staged:
+                    monkeypatch.setattr(module, attr, forbidden)
+
+
+SESSION_MODES = (
+    "no-cache",
+    "cold-cache",
+    "warm-cache",
+    "lost-table",
+    "lint",
+    "no-validate",
+)
+
+
+def _session_in_mode(mode, trace, cache):
+    if mode == "no-cache":
+        return AnalysisSession(trace)
+    if mode == "lint":
+        return AnalysisSession(trace, lint=True)
+    if mode == "no-validate":
+        return AnalysisSession(trace, config=AnalysisConfig(validate=False))
+    if mode != "cold-cache":
+        AnalysisSession(trace, cache_dir=cache).analysis()
+    session = AnalysisSession(trace, cache_dir=cache)
+    if mode == "lost-table":
+        # One rank's table and the statistics are gone, so statistics
+        # merge replayed partials with partials of cached tables.
+        digest = session.fingerprint.rank_digest(trace.ranks[0])
+        (cache / f"inv-{digest}.npz").unlink()
+        (cache / f"stats-{session.fingerprint.hexdigest}.npz").unlink()
+    return session
+
+
+class TestSessionModes:
+    """Every single-process session mode yields the products of one
+    fused pass, and none runs the staged reference pipeline."""
+
+    @pytest.mark.parametrize("mode", SESSION_MODES)
+    @pytest.mark.parametrize("trace_name", ["fig3", "small_synthetic"])
+    def test_products_equal_fused_bootstrap(
+        self, mode, trace_name, request, tmp_path, no_staged_pipeline
+    ):
+        trace = request.getfixturevalue(trace_name)
+        if trace_name == "small_synthetic":
+            trace = trace[0]
+        session = _session_in_mode(mode, trace, tmp_path / "cache")
+        analysis = session.analysis()
+
+        boot = fused_bootstrap(trace)
+        assert list(session.replay()) == trace.ranks
+        for rank in trace.ranks:
+            got, want = session.replay()[rank], boot.tables[rank]
+            for column in got.__slots__:
+                a, b = getattr(got, column), getattr(want, column)
+                assert a.dtype == b.dtype, column
+                np.testing.assert_array_equal(a, b, err_msg=column)
+        want_stats = FunctionStatistics.from_partials(trace, boot.partials)
+        for name, column in want_stats.to_arrays().items():
+            np.testing.assert_array_equal(
+                getattr(analysis.profile.stats, name), column, err_msg=name
+            )
+        region = analysis.selection.region
+        cls = session.config.classifier
+        want_sos = compute_sos(
+            trace, segment_trace(boot.tables, region), boot.tables, cls
+        )
+        for rank in trace.ranks:
+            np.testing.assert_array_equal(
+                analysis.sos[rank].sync_time, want_sos[rank].sync_time
+            )
+            np.testing.assert_array_equal(
+                analysis.sos[rank].sos, want_sos[rank].sos
+            )
+        if mode == "lost-table":
+            assert session.stats.total_computed("replay") == 1
+        if mode == "warm-cache":
+            assert session.stats.total_computed("replay") == 0
+
+    def test_invalid_trace_cold_cache(self, tmp_path, no_staged_pipeline):
+        def stream(rows):
+            b = EventListBuilder()
+            for t, kind in rows:
+                b.append(t, kind, ref=0)
+            return b.freeze()
+
+        trace = Trace(name="broken")
+        trace.regions.register("main")
+        trace.add_process(
+            Location(0, "P0"),
+            stream([(0.0, EventKind.ENTER), (1.0, EventKind.LEAVE)]),
+        )
+        trace.add_process(Location(1, "P1"), stream([(0.0, EventKind.ENTER)]))
+        # The test module's own binding is the unpatched reference.
+        with pytest.raises(ValueError) as expected:
+            validate_trace(trace).raise_if_invalid()
+        cache = tmp_path / "cache"
+        with pytest.raises(ValueError, match="invalid trace") as err:
+            AnalysisSession(trace, cache_dir=cache).analysis()
+        assert str(err.value) == str(expected.value)
+        assert not list(cache.glob("valid-*"))
+
+
 class TestFingerprint:
     def test_deterministic(self, fig3):
         assert fingerprint_trace(fig3) == fingerprint_trace(fig3)
@@ -219,33 +346,6 @@ class TestFingerprint:
         fp = fingerprint_trace(fig3)
         for rank, digest in fp.per_rank:
             assert fingerprint_events(fig3.events_of(rank)) == digest
-
-
-class TestParallelReplay:
-    def test_parallel_equals_serial(self, fig3):
-        serial = replay_trace(fig3)
-        parallel = replay_trace(fig3, parallel=True)
-        assert list(serial) == list(parallel)
-        for rank in serial:
-            np.testing.assert_array_equal(
-                serial[rank].t_enter, parallel[rank].t_enter
-            )
-            np.testing.assert_array_equal(
-                serial[rank].exclusive, parallel[rank].exclusive
-            )
-
-    def test_explicit_worker_count(self, fig3):
-        tables = replay_trace(fig3, parallel=2)
-        assert set(tables) == set(fig3.ranks)
-
-    def test_invalid_worker_count(self, fig3):
-        with pytest.raises(ValueError):
-            replay_trace(fig3, parallel=0)
-
-    def test_session_parallel_matches(self, fig3):
-        a = AnalysisSession(fig3).analysis()
-        b = AnalysisSession(fig3, parallel=True).analysis()
-        np.testing.assert_array_equal(a.sos.matrix(), b.sos.matrix())
 
 
 class TestArtifactCache:
