@@ -7,14 +7,15 @@ Public surface:
 * :class:`TraceBuilder` — programmatic construction.
 * Definitions: :class:`Region`, :class:`Metric`, :class:`Location`,
   :class:`Paradigm`, :class:`RegionRole`, :class:`MetricMode`.
-* I/O: :func:`read_trace`, :func:`read_jsonl`, :func:`write_jsonl`,
-  :func:`read_binary`, :func:`write_binary`.
+* I/O: :class:`TraceIndex` is the one reader of both formats
+  (:func:`read_trace` is ``TraceIndex(path).load()``);
+  :func:`write_jsonl` and :func:`write_binary` write them.
 * Transformations: :func:`clip_trace`, :func:`filter_regions`,
   :func:`select_ranks`, :func:`merge_traces`.
 * Validation: :func:`validate_trace`.
 """
 
-from .binio import read_binary, write_binary
+from .binio import write_binary
 from .builder import ProcessBuilder, TraceBuilder
 from .cursor import (
     EventBatch,
@@ -44,7 +45,7 @@ from .fingerprint import (
     fingerprint_trace,
 )
 from .merge import merge_traces
-from .reader import TraceIndex, read_jsonl, read_trace, read_trace_ranks
+from .reader import TraceIndex, read_trace
 from .trace import ProcessTrace, Trace
 from .validate import ValidationIssue, ValidationReport, validate_trace
 from .writer import write_jsonl
@@ -85,10 +86,7 @@ __all__ = [
     "fingerprint_events",
     "fingerprint_trace",
     "merge_traces",
-    "read_binary",
-    "read_jsonl",
     "read_trace",
-    "read_trace_ranks",
     "select_ranks",
     "validate_trace",
     "write_binary",

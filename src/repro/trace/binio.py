@@ -36,30 +36,18 @@ region and sharded readers can map one rank without touching others.
 from __future__ import annotations
 
 import json
-import mmap
 import os
 import struct
 import zlib
 
 import numpy as np
 
-from .definitions import (
-    Location,
-    Metric,
-    MetricMode,
-    MetricRegistry,
-    Paradigm,
-    Region,
-    RegionRegistry,
-    RegionRole,
-)
-from .events import EventList
 from .trace import Trace
 
 __all__ = [
     "write_binary",
     "write_binary_arrays",
-    "read_binary",
+    "TraceFormatError",
     "BIN_VERSION",
     "BIN_ALIGN",
     "CODECS",
@@ -68,7 +56,7 @@ __all__ = [
 MAGIC = b"RPTR"
 #: Newest format version the writer emits (and the writer default).
 BIN_VERSION = 2
-#: Format versions the readers accept.
+#: Format versions the reader accepts.
 SUPPORTED_VERSIONS = (1, 2)
 #: Alignment (bytes) of the payload start and of raw blobs in v2 files.
 BIN_ALIGN = 64
@@ -90,21 +78,21 @@ def mmap_disabled() -> bool:
     return os.environ.get("REPRO_NO_MMAP", "").strip() not in ("", "0")
 
 
-class BinaryFormatError(ValueError):
-    """Raised when a binary trace file is malformed."""
+class TraceFormatError(ValueError):
+    """Raised when a trace file is malformed or has the wrong version."""
 
 
-def parse_dtype(spec, where: str, error: type[ValueError]):
+def parse_dtype(spec, where: str):
     """Resolve a manifest dtype string, containing numpy's failures.
 
     ``np.dtype`` on attacker-controlled strings can raise surprising
     exception types (the comma-string parser even raises SyntaxError);
-    readers must surface all of them as their own format error.
+    all of them surface as :class:`TraceFormatError`.
     """
     try:
         return np.dtype(spec)
     except Exception as err:
-        raise error(f"{where}: invalid dtype {spec!r}: {err}") from err
+        raise TraceFormatError(f"{where}: invalid dtype {spec!r}: {err}") from err
 
 
 def _column_codec(col: str, codec) -> str:
@@ -280,129 +268,29 @@ def read_frame(fp) -> tuple[int, int, dict]:
     """Read and validate the fixed frame; return (version, header_len, header)."""
     magic = fp.read(4)
     if magic != MAGIC:
-        raise BinaryFormatError(f"bad magic {magic!r}; not an .rpt trace")
+        raise TraceFormatError(f"bad magic {magic!r}; not an .rpt trace")
     head = fp.read(6)
     if len(head) != 6:
-        raise BinaryFormatError("truncated .rpt header")
+        raise TraceFormatError("truncated .rpt header")
     version, header_len = struct.unpack("<HI", head)
     if version not in SUPPORTED_VERSIONS:
-        raise BinaryFormatError(f"unsupported binary version {version}")
+        raise TraceFormatError(f"unsupported binary version {version}")
     header_bytes = fp.read(header_len)
     if len(header_bytes) != header_len:
-        raise BinaryFormatError("truncated .rpt header")
+        raise TraceFormatError("truncated .rpt header")
     try:
         header = json.loads(header_bytes.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as err:
-        raise BinaryFormatError(f"corrupt .rpt header: {err}") from err
+        raise TraceFormatError(f"corrupt .rpt header: {err}") from err
+    if not isinstance(header, dict):
+        raise TraceFormatError("corrupt .rpt header: not a JSON object")
     return version, header_len, header
 
 
-def decode_column(buf, base: int, spec: dict, n: int, where: str) -> np.ndarray:
-    """Materialise one column from ``buf`` (bytes or mmap).
-
-    ``raw`` columns come back as zero-copy :func:`numpy.frombuffer`
-    views into ``buf``; ``zlib`` columns are decompressed.  ``base`` is
-    the absolute payload start; offsets in ``spec`` are payload-relative.
-    """
-    codec = spec.get("codec", "zlib")
-    if codec not in CODECS:
-        raise BinaryFormatError(f"{where}: unknown codec {codec!r}")
-    dtype = parse_dtype(spec["dtype"], where, BinaryFormatError)
-    start = base + spec["offset"]
-    length = spec["length"]
-    if start + length > len(buf):
-        raise BinaryFormatError(
-            f"{where}: chunk [{spec['offset']}, {spec['offset'] + length}) "
-            f"runs past the end of the payload ({len(buf) - base} bytes); "
-            f"file is truncated"
-        )
-    if codec == "raw":
-        if length != n * dtype.itemsize:
-            raise BinaryFormatError(
-                f"{where}: raw blob is {length} bytes, "
-                f"expected {n * dtype.itemsize}"
-            )
-        try:
-            return np.frombuffer(buf, dtype=dtype, count=n, offset=start)
-        except ValueError as err:
-            raise BinaryFormatError(f"{where}: {err}") from err
-    try:
-        raw = zlib.decompress(bytes(memoryview(buf)[start:start + length]))
-    except zlib.error as err:
-        raise BinaryFormatError(f"{where}: corrupt zlib blob: {err}") from err
-    arr = np.frombuffer(raw, dtype=dtype)
-    if len(arr) != n:
-        raise BinaryFormatError(
-            f"{where}: expected {n} entries, found {len(arr)}"
-        )
-    return arr
-
-
-def _read_buffer(fp, version: int):
-    """Whole-file buffer for column decoding: an mmap when available
-    (v2 raw columns then become zero-copy views), plain bytes otherwise
-    (``REPRO_NO_MMAP=1``, empty files, exotic filesystems)."""
-    if version == 2 and not mmap_disabled():
-        try:
-            return mmap.mmap(fp.fileno(), 0, access=mmap.ACCESS_READ)
-        except (ValueError, OSError):
-            pass
-    fp.seek(0)
-    return fp.read()
-
-
+# Kept only because perfbench/tracer.py wraps this name (its TARGETS
+# table); drop it together with that entry.  Nothing here calls it.
 def read_binary(path: str | os.PathLike) -> Trace:
-    """Read a trace from ``path`` in the binary ``.rpt`` format (v1 or v2)."""
-    with open(path, "rb") as fp:
-        version, header_len, header = read_frame(fp)
-        buf = _read_buffer(fp, version)
-    base = payload_start(header_len, version)
+    """Read a ``.rpt`` trace: ``TraceIndex(path).load()``."""
+    from .reader import TraceIndex
 
-    regions = RegionRegistry()
-    for rec in header["regions"]:
-        regions.add(
-            Region(
-                id=rec["id"],
-                name=rec["name"],
-                paradigm=Paradigm(rec["paradigm"]),
-                role=RegionRole(rec["role"]),
-                source_file=rec.get("source_file", ""),
-                line=rec.get("line", 0),
-            )
-        )
-    metrics = MetricRegistry()
-    for rec in header["metrics"]:
-        metrics.add(
-            Metric(
-                id=rec["id"],
-                name=rec["name"],
-                unit=rec.get("unit", "#"),
-                mode=MetricMode(rec.get("mode", 0)),
-                description=rec.get("description", ""),
-            )
-        )
-
-    trace = Trace(
-        regions=regions,
-        metrics=metrics,
-        name=header.get("name", "trace"),
-        attributes=header.get("attributes", {}),
-    )
-    for loc_rec in header["locations"]:
-        n = loc_rec["n"]
-        arrays = []
-        for col in _COLUMNS:
-            arrays.append(
-                decode_column(
-                    buf,
-                    base,
-                    loc_rec["columns"][col],
-                    n,
-                    f"location {loc_rec['id']} column {col}",
-                )
-            )
-        location = Location(
-            id=loc_rec["id"], name=loc_rec["name"], group=loc_rec.get("group", "MPI")
-        )
-        trace.add_process(location, EventList(*arrays))
-    return trace
+    return TraceIndex(path).load()

@@ -35,11 +35,17 @@ from collections import deque
 from dataclasses import dataclass
 from typing import IO, Iterator, Sequence
 
-import numpy as np
-
 from .. import obs
-from .events import _DTYPES as _CANONICAL_DTYPES
 from .events import EventList
+from .reader import (
+    TraceFormatError,
+    _add_definition_record,
+    _check_header,
+    _events_from_record,
+    _field,
+    _header_attributes,
+    _project_columns,
+)
 from .trace import Trace
 
 __all__ = [
@@ -214,9 +220,7 @@ class _JsonlProtocol:
         self._attributes: dict[str, str] = {}
         self._header_seen = False
         self._definitions: Trace | None = None
-        self._project = None
-        if columns is not None:
-            self._project = tuple(sorted(set(columns) | {"time"}))
+        self._project = _project_columns(columns)
         self.ended = False
         #: ranks that have produced at least one events record
         self.seen_ranks: set[int] = set()
@@ -240,31 +244,8 @@ class _JsonlProtocol:
             self._definitions = trace
         return self._definitions
 
-    def _events_of(self, record: dict) -> EventList:
-        from .reader import TraceFormatError, _events_from_record
-
-        if self._project is None:
-            return _events_from_record(record)
-        try:
-            arrays = {
-                col: np.asarray(record[col], dtype=_CANONICAL_DTYPES[col])
-                for col in self._project
-            }
-        except KeyError as err:
-            raise TraceFormatError(
-                f"location {record.get('location')}: events record is "
-                f"missing column {err.args[0]!r}"
-            ) from err
-        return EventList.projected(arrays)
-
     def parse_line(self, line: str) -> EventBatch | None:
         """Parse one complete line; an events record yields a batch."""
-        from .reader import (
-            TraceFormatError,
-            _add_definition_record,
-            _check_header,
-        )
-
         line = line.strip()
         if not line:
             return None
@@ -278,7 +259,7 @@ class _JsonlProtocol:
             _check_header(record)
             self._header_seen = True
             self._name = record.get("name", "trace")
-            self._attributes = record.get("attributes", {})
+            self._attributes = _header_attributes(record)
             return None
         kind = record.get("record")
         if kind == "end":
@@ -292,11 +273,11 @@ class _JsonlProtocol:
         if kind != "events":
             raise TraceFormatError(f"unknown record type {kind!r}")
         self._freeze()
-        rank = record["location"]
+        rank = _field(record, "location", "events record", int)
         if rank not in self._locations:
             raise TraceFormatError(f"events for undefined location {rank}")
         self.seen_ranks.add(rank)
-        events = self._events_of(record)
+        events = _events_from_record(record, self._project)
         _C_TAIL_EVENTS.add(len(events))
         _C_TAIL_BYTES.add(len(line))
         return EventBatch(rank, events, False)
@@ -368,8 +349,6 @@ class TailCursor(EventCursor):
     ) -> None:
         self.path = str(path)
         if not self.path.endswith(".jsonl"):
-            from .reader import TraceFormatError
-
             raise TraceFormatError(
                 f"only .jsonl traces can be tailed: {self.path!r}"
             )

@@ -1,21 +1,13 @@
-"""Trace deserialisation (text format), format dispatch and lazy
-rank-addressable access.
+"""The one trace reader: ``.rpt`` and ``.jsonl`` through :class:`TraceIndex`.
 
-Two read paths are provided:
-
-* the eager path (:func:`read_trace`, :func:`read_jsonl`,
-  :func:`repro.trace.binio.read_binary`) materialises the complete
-  trace in one go;
-* the chunked path (:class:`TraceIndex`, :func:`read_trace_ranks`)
-  parses only the definition records up front and loads event columns
-  per rank on demand.  This is what the sharded analysis engine
-  (:mod:`repro.core.shard`) uses so each worker process touches only
-  the bytes of its own rank group.
-
-Both paths construct bit-identical :class:`~repro.trace.events.EventList`
-columns for the ranks they load (the chunked path decompresses or
-parses exactly the same bytes), so analyses over lazily loaded ranks
-match the eager pipeline exactly.
+:class:`TraceIndex` is the only code that decodes trace files.  Opening
+one parses (and strictly validates) the definition records and the
+per-rank chunk table; :meth:`TraceIndex.load` then decodes event
+columns for exactly the requested ranks and columns.
+:func:`read_trace` is ``TraceIndex(path).load()`` — every rank, every
+column — so whole-trace commands, the sharded engine
+(:mod:`repro.core.shard`) and the cursors (:mod:`repro.trace.cursor`)
+meet the same checks and report the same defect the same way.
 """
 
 from __future__ import annotations
@@ -26,13 +18,14 @@ import mmap
 import os
 import re
 import zlib
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .. import obs
 from .binio import (
     CODECS,
+    TraceFormatError,
     mmap_disabled,
     parse_dtype,
     payload_start,
@@ -54,7 +47,7 @@ from .fingerprint import _DIGEST_SIZE, fingerprint_events
 from .trace import Trace
 from .writer import FORMAT_VERSION
 
-__all__ = ["read_jsonl", "load_jsonl", "read_trace", "read_trace_ranks", "TraceIndex"]
+__all__ = ["TraceFormatError", "TraceIndex", "read_trace"]
 
 #: Telemetry: bytes served zero-copy from the mmap vs. inflated through
 #: zlib, and events materialised by the chunked loader.
@@ -62,9 +55,7 @@ _C_MMAPPED = obs.counter("io.bytes_mmapped")
 _C_DECOMPRESSED = obs.counter("io.bytes_decompressed")
 _C_EVENTS_LOADED = obs.counter("io.events_loaded")
 
-
-class TraceFormatError(ValueError):
-    """Raised when a trace file is malformed or has the wrong version."""
+_BIN_COLUMNS = ("time", "kind", "ref", "partner", "size", "tag", "value")
 
 
 def _check_header(header) -> None:
@@ -76,6 +67,31 @@ def _check_header(header) -> None:
         )
 
 
+def _header_attributes(header: dict) -> dict:
+    """The header's ``attributes`` object (absent = empty)."""
+    attributes = header.get("attributes", {})
+    if not isinstance(attributes, dict):
+        raise TraceFormatError(
+            f"header: 'attributes' must be an object, got {attributes!r}"
+        )
+    return attributes
+
+
+def _field(record: dict, key: str, where: str, kind: type | None = None):
+    """``record[key]``, or a :class:`TraceFormatError` naming ``where``
+    and ``key`` when it is missing (or, given ``kind``, mistyped)."""
+    if key not in record:
+        raise TraceFormatError(f"{where}: missing key {key!r}")
+    value = record[key]
+    if kind is not None and (
+        not isinstance(value, kind) or isinstance(value, bool)
+    ):
+        raise TraceFormatError(
+            f"{where}: {key!r} must be {kind.__name__}, got {value!r}"
+        )
+    return value
+
+
 def _add_definition_record(
     record: dict,
     regions: RegionRegistry,
@@ -84,121 +100,106 @@ def _add_definition_record(
 ) -> bool:
     """Apply one region/metric/location record; False if not one."""
     kind = record.get("record")
-    if kind == "region":
-        regions.add(
-            Region(
-                id=record["id"],
-                name=record["name"],
-                paradigm=Paradigm(record["paradigm"]),
-                role=RegionRole(record["role"]),
-                source_file=record.get("source_file", ""),
-                line=record.get("line", 0),
-            )
-        )
-    elif kind == "metric":
-        metrics.add(
-            Metric(
-                id=record["id"],
-                name=record["name"],
-                unit=record.get("unit", "#"),
-                mode=MetricMode(record.get("mode", 0)),
-                description=record.get("description", ""),
-            )
-        )
-    elif kind == "location":
-        loc = Location(
-            id=record["id"],
-            name=record["name"],
-            group=record.get("group", "MPI"),
-        )
-        locations[loc.id] = loc
-    else:
+    if kind not in ("region", "metric", "location"):
         return False
+    where = f"{kind} record {record.get('id', '?')}"
+    try:
+        if kind == "region":
+            regions.add(
+                Region(
+                    id=_field(record, "id", where, int),
+                    name=_field(record, "name", where, str),
+                    paradigm=Paradigm(_field(record, "paradigm", where)),
+                    role=RegionRole(_field(record, "role", where)),
+                    source_file=record.get("source_file", ""),
+                    line=record.get("line", 0),
+                )
+            )
+        elif kind == "metric":
+            metrics.add(
+                Metric(
+                    id=_field(record, "id", where, int),
+                    name=_field(record, "name", where, str),
+                    unit=record.get("unit", "#"),
+                    mode=MetricMode(record.get("mode", 0)),
+                    description=record.get("description", ""),
+                )
+            )
+        else:
+            loc = Location(
+                id=_field(record, "id", where, int),
+                name=_field(record, "name", where, str),
+                group=record.get("group", "MPI"),
+            )
+            locations[loc.id] = loc
+    except TraceFormatError:
+        raise
+    except (TypeError, ValueError) as err:
+        raise TraceFormatError(f"{where}: {err}") from err
     return True
 
 
-def _events_from_record(record: dict) -> EventList:
-    events = EventList(
-        np.asarray(record["time"], dtype=np.float64),
-        np.asarray(record["kind"], dtype=np.uint8),
-        np.asarray(record["ref"], dtype=np.int32),
-        np.asarray(record["partner"], dtype=np.int32),
-        np.asarray(record["size"], dtype=np.int64),
-        np.asarray(record["tag"], dtype=np.int32),
-        np.asarray(record["value"], dtype=np.float64),
-    )
+def _header_records(header: dict, key: str) -> list:
+    """The ``.rpt`` header's ``key`` list (absent = empty), which must
+    hold JSON objects only."""
+    records = header.get(key, [])
+    if not isinstance(records, list) or not all(
+        isinstance(rec, dict) for rec in records
+    ):
+        raise TraceFormatError(f".rpt header: {key!r} must be a list of objects")
+    return records
+
+
+def _project_columns(columns: Sequence[str] | None) -> tuple[str, ...] | None:
+    """Canonical-order projection of ``columns`` plus ``time``
+    (``None`` = every column)."""
+    if columns is None:
+        return None
+    unknown = sorted(set(columns) - set(_BIN_COLUMNS))
+    if unknown:
+        raise ValueError(f"unknown event columns: {', '.join(unknown)}")
+    keep = set(columns) | {"time"}
+    return tuple(col for col in _BIN_COLUMNS if col in keep)
+
+
+def _event_list(
+    arrays: dict[str, np.ndarray], projected: bool, where: str
+) -> EventList:
+    """Freeze decoded columns; a rejected stream is a format error."""
+    try:
+        if projected:
+            return EventList.projected(arrays)
+        return EventList(*(arrays[col] for col in _BIN_COLUMNS))
+    except (TypeError, ValueError) as err:
+        raise TraceFormatError(f"{where}: {err}") from err
+
+
+def _events_from_record(
+    record: dict, columns: Sequence[str] | None = None
+) -> EventList:
+    """Decode one ``.jsonl`` events record onto ``columns`` (a
+    :func:`_project_columns` result; ``None`` = all), checking ``n``."""
+    where = f"location {record.get('location')}"
+    arrays = {}
+    for col in _BIN_COLUMNS if columns is None else columns:
+        if col not in record:
+            raise TraceFormatError(
+                f"{where}: events record is missing column {col!r}"
+            )
+        try:
+            arrays[col] = np.asarray(record[col], dtype=_CANONICAL_DTYPES[col])
+        except (TypeError, ValueError, OverflowError) as err:
+            raise TraceFormatError(f"{where} column {col}: {err}") from err
+    events = _event_list(arrays, columns is not None, where)
     if len(events) != record.get("n", len(events)):
-        raise TraceFormatError(
-            f"location {record.get('location')}: event count mismatch"
-        )
+        raise TraceFormatError(f"{where}: event count mismatch")
     return events
 
 
-def load_jsonl(fp: IO[str]) -> Trace:
-    """Read a trace from an open text file in JSONL format."""
-    header_line = fp.readline()
-    if not header_line:
-        raise TraceFormatError("empty trace file")
-    header = json.loads(header_line)
-    _check_header(header)
-
-    regions = RegionRegistry()
-    metrics = MetricRegistry()
-    locations: dict[int, Location] = {}
-    event_records: list[dict] = []
-
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        record = json.loads(line)
-        if not isinstance(record, dict):
-            raise TraceFormatError(f"non-object record: {line[:40]!r}")
-        if _add_definition_record(record, regions, metrics, locations):
-            continue
-        if record.get("record") == "events":
-            event_records.append(record)
-        else:
-            raise TraceFormatError(f"unknown record type {record.get('record')!r}")
-
-    trace = Trace(
-        regions=regions,
-        metrics=metrics,
-        name=header.get("name", "trace"),
-        attributes=header.get("attributes", {}),
-    )
-    for record in event_records:
-        loc_id = record["location"]
-        location = locations.get(loc_id)
-        if location is None:
-            raise TraceFormatError(f"events for undefined location {loc_id}")
-        trace.add_process(location, _events_from_record(record))
-    # Locations defined but without an events record get empty streams.
-    for loc_id, location in locations.items():
-        if loc_id not in trace.ranks:
-            trace.add_process(location, EventList.empty())
-    return trace
-
-
-def read_jsonl(path: str | os.PathLike) -> Trace:
-    """Read a trace from ``path`` in JSONL format."""
-    with open(path, "r", encoding="utf-8") as fp:
-        return load_jsonl(fp)
-
-
 def read_trace(path: str | os.PathLike) -> Trace:
-    """Read a trace, dispatching on file extension (.jsonl or .rpt)."""
-    path_str = str(path)
+    """Read a whole trace, dispatching on file extension (.jsonl or .rpt)."""
     with obs.span("io.read"):
-        if path_str.endswith(".jsonl"):
-            return read_jsonl(path)
-        if path_str.endswith(".rpt"):
-            from .binio import read_binary
-
-            return read_binary(path)
-    raise TraceFormatError(
-        f"cannot infer trace format from extension: {path_str!r}"
-    )
+        return TraceIndex(path).load()
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +213,6 @@ def read_trace(path: str | os.PathLike) -> Trace:
 _EVENTS_PREFIX_RE = re.compile(
     r'^\s*\{"record":\s*"events",\s*"location":\s*(-?\d+),\s*"n":\s*(\d+)'
 )
-
-_BIN_COLUMNS = ("time", "kind", "ref", "partner", "size", "tag", "value")
 
 
 class _RankChunk:
@@ -272,59 +271,48 @@ class TraceIndex:
     # -- indexing ------------------------------------------------------
 
     def _index_binary(self) -> None:
-        from .binio import BinaryFormatError
-
         file_size = os.path.getsize(self.path)
         with open(self.path, "rb") as fp:
-            try:
-                version, header_len, header = read_frame(fp)
-            except BinaryFormatError as err:
-                raise TraceFormatError(str(err)) from err
+            version, header_len, header = read_frame(fp)
         self.version = version
         base = payload_start(header_len, version)
         payload_size = max(0, file_size - base)
 
         self.name = header.get("name", "trace")
-        self.attributes = header.get("attributes", {})
-        for rec in header.get("regions", ()):
-            _add_definition_record({**rec, "record": "region"},
-                                   self.regions, self.metrics, self.locations)
-        for rec in header.get("metrics", ()):
-            _add_definition_record({**rec, "record": "metric"},
-                                   self.regions, self.metrics, self.locations)
+        self.attributes = _header_attributes(header)
+        for kind in ("region", "metric"):
+            for rec in _header_records(header, kind + "s"):
+                _add_definition_record({**rec, "record": kind},
+                                       self.regions, self.metrics, self.locations)
 
         intervals: list[tuple[int, int, int, str]] = []
-        for loc_rec in header.get("locations", ()):
-            loc = Location(
-                id=loc_rec["id"],
-                name=loc_rec["name"],
-                group=loc_rec.get("group", "MPI"),
-            )
-            if loc.id in self.locations or loc.id in self._chunks:
+        for loc_rec in _header_records(header, "locations"):
+            loc_id = _field(loc_rec, "id", "location record", int)
+            if loc_id in self.locations:
                 raise TraceFormatError(
-                    f"duplicate chunk for location {loc.id}"
+                    f"duplicate chunk for location {loc_id}"
                 )
-            self.locations[loc.id] = loc
-            columns = loc_rec["columns"]
-            lo, hi = None, None
+            _add_definition_record({**loc_rec, "record": "location"},
+                                   self.regions, self.metrics, self.locations)
+            where = f"location {loc_id}"
+            n = _field(loc_rec, "n", where, int)
+            if n < 0:
+                raise TraceFormatError(f"{where}: negative event count {n}")
+            columns = _field(loc_rec, "columns", where, dict)
+            extents = {}
             for col in _BIN_COLUMNS:
                 spec = columns.get(col)
-                if spec is None:
-                    raise TraceFormatError(
-                        f"location {loc.id}: missing column {col!r}"
-                    )
-                dtype = parse_dtype(
-                    spec.get("dtype"),
-                    f"location {loc.id} column {col}",
-                    TraceFormatError,
-                )
+                if not isinstance(spec, dict):
+                    raise TraceFormatError(f"{where}: missing column {col!r}")
+                col_where = f"{where} column {col}"
+                dtype = parse_dtype(spec.get("dtype"), col_where)
                 codec = spec.get("codec", "zlib")
                 if codec not in CODECS:
                     raise TraceFormatError(
-                        f"location {loc.id} column {col}: "
-                        f"unknown codec {codec!r}"
+                        f"{col_where}: unknown codec {codec!r}"
                     )
-                off, length = spec["offset"], spec["length"]
+                off = _field(spec, "offset", col_where)
+                length = _field(spec, "length", col_where)
                 if (
                     not isinstance(off, int)
                     or not isinstance(length, int)
@@ -332,40 +320,28 @@ class TraceIndex:
                     or length < 0
                 ):
                     raise TraceFormatError(
-                        f"location {loc.id} column {col}: invalid chunk "
-                        f"extent (offset={off!r}, length={length!r})"
+                        f"{col_where}: invalid chunk extent "
+                        f"(offset={off!r}, length={length!r})"
                     )
                 if off + length > payload_size:
                     raise TraceFormatError(
-                        f"location {loc.id} column {col}: chunk "
-                        f"[{off}, {off + length}) runs past the end of the "
-                        f"payload ({payload_size} bytes); file is truncated"
+                        f"{col_where}: chunk [{off}, {off + length}) runs "
+                        f"past the end of the payload ({payload_size} "
+                        f"bytes); file is truncated"
                     )
-                if codec == "raw":
-                    n = loc_rec["n"]
-                    if not isinstance(n, int) or length != n * dtype.itemsize:
-                        raise TraceFormatError(
-                            f"location {loc.id} column {col}: raw blob is "
-                            f"{length} bytes, inconsistent with n={n!r}"
-                        )
+                if codec == "raw" and length != n * dtype.itemsize:
+                    raise TraceFormatError(
+                        f"{col_where}: raw blob is {length} bytes, "
+                        f"inconsistent with n={n!r}"
+                    )
                 if length:
-                    intervals.append((off, off + length, loc.id, col))
-                lo = off if lo is None else min(lo, off)
-                hi = off + length if hi is None else max(hi, off + length)
-            self._chunks[loc.id] = _RankChunk(
-                rank=loc.id,
-                n_events=loc_rec["n"],
-                offset=base + (lo or 0),
-                length=(hi or 0) - (lo or 0),
-                columns={
-                    col: (
-                        base + columns[col]["offset"],
-                        columns[col]["length"],
-                        columns[col]["dtype"],
-                        columns[col].get("codec", "zlib"),
-                    )
-                    for col in _BIN_COLUMNS
-                },
+                    intervals.append((off, off + length, loc_id, col))
+                extents[col] = (base + off, length, spec["dtype"], codec)
+            lo = min(extent[0] for extent in extents.values())
+            hi = max(extent[0] + extent[1] for extent in extents.values())
+            self._chunks[loc_id] = _RankChunk(
+                rank=loc_id, n_events=n, offset=lo, length=hi - lo,
+                columns=extents,
             )
         intervals.sort()
         for prev, cur in zip(intervals, intervals[1:]):
@@ -387,7 +363,7 @@ class TraceIndex:
                 raise TraceFormatError(f"corrupt header line: {err}") from err
             _check_header(header)
             self.name = header.get("name", "trace")
-            self.attributes = header.get("attributes", {})
+            self.attributes = _header_attributes(header)
 
             while True:
                 offset = fp.tell()
@@ -419,8 +395,13 @@ class TraceIndex:
                         raise TraceFormatError(
                             f"unknown record type {record.get('record')!r}"
                         )
-                    loc_id = record["location"]
-                    n = record.get("n", len(record.get("time", ())))
+                    loc_id = _field(record, "location", "events record", int)
+                    time = record.get("time", [])
+                    n = record.get("n", len(time) if isinstance(time, list) else -1)
+                    if not isinstance(n, int) or n < 0:
+                        raise TraceFormatError(
+                            f"location {loc_id}: invalid event count {n!r}"
+                        )
                 if loc_id in self._chunks:
                     raise TraceFormatError(
                         f"overlapping chunks: duplicate events record for "
@@ -543,7 +524,7 @@ class TraceIndex:
         for col in (_BIN_COLUMNS if columns is None else columns):
             offset, length, dtype_str, codec = chunk.columns[col]
             where = f"location {chunk.rank} column {col}"
-            dtype = parse_dtype(dtype_str, where, TraceFormatError)
+            dtype = parse_dtype(dtype_str, where)
             if codec == "raw":
                 # Blob length == n * itemsize was validated at index
                 # time, so a view over the mmap is safe and zero-copy.
@@ -566,7 +547,9 @@ class TraceIndex:
                 try:
                     data = zlib.decompress(blob)
                 except zlib.error as err:
-                    raise TraceFormatError(f"{where}: {err}") from err
+                    raise TraceFormatError(
+                        f"{where}: corrupt zlib blob: {err}"
+                    ) from err
                 arr = np.frombuffer(data, dtype=dtype)
                 _C_DECOMPRESSED.add(len(data))
             if len(arr) != chunk.n_events:
@@ -575,9 +558,7 @@ class TraceIndex:
                     f"{chunk.n_events} entries, found {len(arr)}"
                 )
             arrays[col] = arr
-        if columns is None:
-            return EventList(*(arrays[col] for col in _BIN_COLUMNS))
-        return EventList.projected(arrays)
+        return _event_list(arrays, columns is not None, f"location {chunk.rank}")
 
     def _load_events_jsonl(
         self, fp, chunk: _RankChunk, columns: Sequence[str] | None = None
@@ -594,37 +575,7 @@ class TraceIndex:
             raise TraceFormatError(
                 f"location {chunk.rank}: chunk table out of sync"
             )
-        if columns is None:
-            return _events_from_record(record)
-        try:
-            arrays = {
-                col: np.asarray(record[col], dtype=_CANONICAL_DTYPES[col])
-                for col in columns
-            }
-        except KeyError as err:
-            raise TraceFormatError(
-                f"location {chunk.rank}: events record is missing "
-                f"column {err.args[0]!r}"
-            ) from err
-        events = EventList.projected(arrays)
-        if len(events) != record.get("n", len(events)):
-            raise TraceFormatError(
-                f"location {chunk.rank}: event count mismatch"
-            )
-        return events
-
-    def _project_columns(
-        self, columns: Sequence[str] | None
-    ) -> tuple[str, ...] | None:
-        if columns is None:
-            return None
-        unknown = sorted(set(columns) - set(_BIN_COLUMNS))
-        if unknown:
-            raise ValueError(
-                f"unknown event columns: {', '.join(unknown)}"
-            )
-        keep = set(columns) | {"time"}
-        return tuple(col for col in _BIN_COLUMNS if col in keep)
+        return _events_from_record(record, columns)
 
     def supports_slices(
         self, rank: int, columns: Sequence[str] | None = None
@@ -634,7 +585,7 @@ class TraceIndex:
         chunk = self._chunks.get(rank)
         if chunk is None or self.format != "rpt":
             return False
-        project = self._project_columns(columns) or _BIN_COLUMNS
+        project = _project_columns(columns) or _BIN_COLUMNS
         return all(chunk.columns[col][3] == "raw" for col in project)
 
     def load_events(
@@ -665,7 +616,7 @@ class TraceIndex:
                 f"rank {rank} of {self.path!r} does not support sliced "
                 "reads (zlib/jsonl storage); load the whole rank instead"
             )
-        project = self._project_columns(columns) or _BIN_COLUMNS
+        project = _project_columns(columns) or _BIN_COLUMNS
         count = max(stop - start, 0)
         buf = self._buffer()
         arrays: dict[str, np.ndarray] = {}
@@ -673,7 +624,7 @@ class TraceIndex:
             for col in project:
                 offset, _length, dtype_str, _codec = chunk.columns[col]
                 where = f"location {rank} column {col}"
-                dtype = parse_dtype(dtype_str, where, TraceFormatError)
+                dtype = parse_dtype(dtype_str, where)
                 byte_off = offset + start * dtype.itemsize
                 if buf is not None:
                     try:
@@ -690,9 +641,9 @@ class TraceIndex:
                     arr = np.frombuffer(blob, dtype=dtype)
                 arrays[col] = arr
         _C_EVENTS_LOADED.add(count)
-        if len(project) == len(_BIN_COLUMNS):
-            return EventList(*(arrays[col] for col in _BIN_COLUMNS))
-        return EventList.projected(arrays)
+        return _event_list(
+            arrays, len(project) < len(_BIN_COLUMNS), f"location {rank}"
+        )
 
     def cursor(
         self,
@@ -716,8 +667,8 @@ class TraceIndex:
     ) -> Trace:
         """Materialise a trace containing only ``ranks``.
 
-        ``None`` loads every rank (equivalent to the eager readers, and
-        bit-identical to them).  Requested ranks must be defined in the
+        ``None`` loads every rank (this is :func:`read_trace`).
+        Requested ranks must be defined in the
         file; locations without an events record yield empty streams.
 
         ``columns`` projects the load onto a subset of event columns
@@ -729,7 +680,7 @@ class TraceIndex:
         entirely; for v2 raw columns the full load is already a
         zero-copy view, but projecting still skips validation work.
         """
-        project = self._project_columns(columns)
+        project = _project_columns(columns)
         wanted: Iterable[int] = self.ranks if ranks is None else ranks
         wanted = list(wanted)
         for rank in wanted:
@@ -787,12 +738,8 @@ class TraceIndex:
                     try:
                         h.update(zlib.decompress(blob))
                     except zlib.error as err:
-                        raise TraceFormatError(f"{where}: {err}") from err
+                        raise TraceFormatError(
+                            f"{where}: corrupt zlib blob: {err}"
+                        ) from err
         return h.hexdigest()
 
-
-def read_trace_ranks(
-    path: str | os.PathLike, ranks: Sequence[int] | None = None
-) -> Trace:
-    """Read only ``ranks`` of the trace at ``path`` (chunked path)."""
-    return TraceIndex(path).load(ranks)

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core import analyze_trace
-from repro.trace import read_jsonl, write_jsonl
+from repro.trace import read_trace, write_jsonl
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -186,7 +186,7 @@ def test_golden(case, update_goldens):
     assert trace_path.exists(), (
         f"missing golden trace {trace_path}; run with --update-goldens"
     )
-    actual = _dump(snapshot(analyze_trace(read_jsonl(trace_path))))
+    actual = _dump(snapshot(analyze_trace(read_trace(trace_path))))
 
     if update_goldens:
         expected_path.write_text(actual)
@@ -226,7 +226,7 @@ def test_stored_traces_match_generators():
         trace_path = GOLDEN_DIR / f"{case}.jsonl"
         if not trace_path.exists():
             pytest.skip("golden traces not generated yet")
-        stored = fingerprint_trace(read_jsonl(trace_path)).hexdigest
+        stored = fingerprint_trace(read_trace(trace_path)).hexdigest
         fresh = fingerprint_trace(gens[case]()).hexdigest
         assert stored == fresh, (
             f"{case}: generator output no longer matches stored golden "

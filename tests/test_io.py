@@ -4,10 +4,15 @@ import io
 
 import pytest
 
-from repro.trace import read_binary, read_jsonl, read_trace, write_binary, write_jsonl
-from repro.trace.binio import BinaryFormatError
-from repro.trace.reader import TraceFormatError, load_jsonl
+from repro.trace import read_trace, write_binary, write_jsonl
+from repro.trace.reader import TraceFormatError
 from repro.trace.writer import dump_jsonl
+
+
+def _jsonl_file(tmp_path, content: str):
+    path = tmp_path / "t.jsonl"
+    path.write_text(content)
+    return path
 
 
 def traces_equal(a, b) -> bool:
@@ -28,48 +33,49 @@ class TestJsonlRoundtrip:
     def test_figure_trace(self, fig3, tmp_path):
         path = tmp_path / "t.jsonl"
         write_jsonl(fig3, path)
-        assert traces_equal(fig3, read_jsonl(path))
+        assert traces_equal(fig3, read_trace(path))
 
     def test_trace_with_metrics_and_messages(self, tiny_trace, tmp_path):
         path = tmp_path / "t.jsonl"
         write_jsonl(tiny_trace, path)
-        back = read_jsonl(path)
+        back = read_trace(path)
         assert traces_equal(tiny_trace, back)
         assert back.metrics.id_of("CYC") == 0
 
-    def test_stream_roundtrip(self, fig1):
+    def test_stream_roundtrip(self, fig1, tmp_path):
         buf = io.StringIO()
         dump_jsonl(fig1, buf)
-        buf.seek(0)
-        assert traces_equal(fig1, load_jsonl(buf))
+        assert traces_equal(fig1, read_trace(_jsonl_file(tmp_path, buf.getvalue())))
 
-    def test_empty_file_rejected(self):
+    def test_empty_file_rejected(self, tmp_path):
         with pytest.raises(TraceFormatError, match="empty"):
-            load_jsonl(io.StringIO(""))
+            read_trace(_jsonl_file(tmp_path, ""))
 
-    def test_missing_header_rejected(self):
+    def test_missing_header_rejected(self, tmp_path):
         with pytest.raises(TraceFormatError, match="header"):
-            load_jsonl(io.StringIO('{"record": "region"}\n'))
+            read_trace(_jsonl_file(tmp_path, '{"record": "region"}\n'))
 
-    def test_bad_version_rejected(self):
+    def test_bad_version_rejected(self, tmp_path):
         with pytest.raises(TraceFormatError, match="version"):
-            load_jsonl(io.StringIO('{"record": "header", "version": 99}\n'))
+            read_trace(
+                _jsonl_file(tmp_path, '{"record": "header", "version": 99}\n')
+            )
 
-    def test_unknown_record_rejected(self, fig1):
+    def test_unknown_record_rejected(self, fig1, tmp_path):
         buf = io.StringIO()
         dump_jsonl(fig1, buf)
         content = buf.getvalue() + '{"record": "mystery"}\n'
         with pytest.raises(TraceFormatError, match="unknown record"):
-            load_jsonl(io.StringIO(content))
+            read_trace(_jsonl_file(tmp_path, content))
 
-    def test_events_for_undefined_location(self):
+    def test_events_for_undefined_location(self, tmp_path):
         content = (
             '{"record": "header", "version": 1, "name": "x", "attributes": {}}\n'
             '{"record": "events", "location": 7, "n": 0, "time": [], "kind": [],'
             ' "ref": [], "partner": [], "size": [], "tag": [], "value": []}\n'
         )
         with pytest.raises(TraceFormatError, match="undefined location"):
-            load_jsonl(io.StringIO(content))
+            read_trace(_jsonl_file(tmp_path, content))
 
     def test_location_without_events_gets_empty_stream(self, tmp_path):
         content = (
@@ -78,7 +84,7 @@ class TestJsonlRoundtrip:
         )
         path = tmp_path / "t.jsonl"
         path.write_text(content)
-        trace = read_jsonl(path)
+        trace = read_trace(path)
         assert trace.ranks == [0]
         assert len(trace.events_of(0)) == 0
 
@@ -87,18 +93,18 @@ class TestBinaryRoundtrip:
     def test_figure_trace(self, fig3, tmp_path):
         path = tmp_path / "t.rpt"
         write_binary(fig3, path)
-        assert traces_equal(fig3, read_binary(path))
+        assert traces_equal(fig3, read_trace(path))
 
     def test_metrics_and_attributes(self, tiny_trace, tmp_path):
         path = tmp_path / "t.rpt"
         write_binary(tiny_trace, path, compresslevel=1)
-        assert traces_equal(tiny_trace, read_binary(path))
+        assert traces_equal(tiny_trace, read_trace(path))
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.rpt"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(BinaryFormatError, match="magic"):
-            read_binary(path)
+        with pytest.raises(TraceFormatError, match="magic"):
+            read_trace(path)
 
     def test_truncation_detected(self, fig2, tmp_path):
         path = tmp_path / "t.rpt"
@@ -106,7 +112,7 @@ class TestBinaryRoundtrip:
         data = path.read_bytes()
         path.write_bytes(data[: len(data) - 40])
         with pytest.raises(Exception):
-            read_binary(path)
+            read_trace(path)
 
     def test_binary_smaller_than_jsonl_for_large_traces(self, tmp_path):
         from repro.sim.workloads.synthetic import SyntheticConfig, generate
@@ -119,16 +125,27 @@ class TestBinaryRoundtrip:
         assert bpath.stat().st_size < jpath.stat().st_size
 
 
-class TestReadTraceDispatch:
-    def test_jsonl_extension(self, fig1, tmp_path):
-        path = tmp_path / "t.jsonl"
-        write_jsonl(fig1, path)
-        assert traces_equal(fig1, read_trace(path))
+#: (file name, writer) for every on-disk layout ``read_trace`` accepts.
+_LAYOUTS = {
+    "jsonl": ("t.jsonl", write_jsonl),
+    "v1": ("t.rpt", lambda t, p: write_binary(t, p, version=1)),
+    "v2-zlib": ("t.rpt", lambda t, p: write_binary(t, p, version=2, codec="zlib")),
+    "v2-raw": ("t.rpt", lambda t, p: write_binary(t, p, version=2, codec="raw")),
+}
 
-    def test_rpt_extension(self, fig1, tmp_path):
-        path = tmp_path / "t.rpt"
-        write_binary(fig1, path)
-        assert traces_equal(fig1, read_trace(path))
+
+class TestReadTraceDispatch:
+    @pytest.mark.parametrize("no_mmap", ["0", "1"], ids=["mmap", "no-mmap"])
+    @pytest.mark.parametrize("layout", sorted(_LAYOUTS))
+    def test_layout_equals_written_trace(
+        self, tiny_trace, tmp_path, monkeypatch, layout, no_mmap
+    ):
+        # The trace that was written is the reference, not a second reader.
+        monkeypatch.setenv("REPRO_NO_MMAP", no_mmap)
+        name, write = _LAYOUTS[layout]
+        path = tmp_path / name
+        write(tiny_trace, path)
+        assert traces_equal(tiny_trace, read_trace(path))
 
     def test_unknown_extension(self, tmp_path):
         with pytest.raises(TraceFormatError, match="extension"):

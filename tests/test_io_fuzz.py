@@ -1,4 +1,4 @@
-"""Fuzz/robustness tests for the trace readers.
+"""Fuzz/robustness tests for the trace reader.
 
 A reader fed corrupted bytes must raise a controlled exception (our
 format errors, zlib/JSON/value errors), never crash the interpreter,
@@ -16,13 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.paper import figure3_trace
-from repro.trace import read_binary, read_jsonl, write_binary, write_jsonl
-from repro.trace.binio import BinaryFormatError
+from repro.trace import read_trace, write_binary, write_jsonl
 from repro.trace.reader import TraceFormatError
 
 ACCEPTABLE = (
     TraceFormatError,
-    BinaryFormatError,
     ValueError,
     KeyError,
     TypeError,
@@ -63,7 +61,7 @@ class TestBinaryFuzz:
         path = tmp_path_factory.mktemp("flip") / "c.rpt"
         path.write_bytes(bytes(data))
         try:
-            trace = read_binary(path)
+            trace = read_trace(path)
         except ACCEPTABLE:
             return
         # If it still parses, the result must be structurally sound or
@@ -78,7 +76,7 @@ class TestBinaryFuzz:
         path = tmp_path_factory.mktemp("trunc") / "c.rpt"
         path.write_bytes(binary_bytes[: max(len(binary_bytes) - cut, 0)])
         with pytest.raises(ACCEPTABLE):
-            read_binary(path)
+            read_trace(path)
 
     @given(st.binary(min_size=0, max_size=64))
     @settings(max_examples=60, deadline=None)
@@ -86,7 +84,7 @@ class TestBinaryFuzz:
         path = tmp_path_factory.mktemp("junk") / "c.rpt"
         path.write_bytes(blob)
         with pytest.raises(ACCEPTABLE):
-            read_binary(path)
+            read_trace(path)
 
 
 class TestJsonlFuzz:
@@ -100,7 +98,7 @@ class TestJsonlFuzz:
         path = tmp_path_factory.mktemp("sub") / "c.jsonl"
         path.write_text("".join(text))
         try:
-            trace = read_jsonl(path)
+            trace = read_trace(path)
         except ACCEPTABLE:
             return
         from repro.trace import validate_trace
@@ -113,7 +111,7 @@ class TestJsonlFuzz:
         path = tmp_path_factory.mktemp("lines") / "c.jsonl"
         path.write_text("\n".join(lines))
         with pytest.raises(ACCEPTABLE):
-            read_jsonl(path)
+            read_trace(path)
 
     def test_dropped_lines_detected_or_benign(self, jsonl_text, tmp_path):
         lines = jsonl_text.splitlines()
@@ -122,7 +120,7 @@ class TestJsonlFuzz:
             path = tmp_path / f"drop{drop}.jsonl"
             path.write_text("\n".join(subset))
             try:
-                trace = read_jsonl(path)
+                trace = read_trace(path)
             except ACCEPTABLE:
                 continue
             from repro.trace import validate_trace
@@ -253,37 +251,6 @@ class TestTraceIndexStrictness:
         with pytest.raises(TraceFormatError, match="unknown"):
             index.load([max(index.ranks) + 1])
 
-    @given(st.integers(min_value=0, max_value=4095), st.integers(0, 255))
-    @settings(max_examples=60, deadline=None)
-    def test_lazy_load_equals_eager_under_fuzz(
-        self, binary_bytes, tmp_path_factory, pos, value
-    ):
-        """Whenever both paths accept a (possibly corrupted) file, the
-        lazy per-rank loader must produce the same trace as the eager
-        reader — corruption must never desynchronise them silently."""
-        from repro.trace.reader import TraceIndex
-
-        data = bytearray(binary_bytes)
-        pos = pos % len(data)
-        if data[pos] == value:
-            value = (value + 1) % 256
-        data[pos] = value
-        path = tmp_path_factory.mktemp("lazyflip") / "c.rpt"
-        path.write_bytes(bytes(data))
-        try:
-            eager = read_binary(path)
-        except ACCEPTABLE:
-            eager = None
-        try:
-            lazy = TraceIndex(path).load()
-        except ACCEPTABLE:
-            lazy = None
-        if eager is None or lazy is None:
-            return  # at least one rejected; nothing to compare
-        assert sorted(lazy.ranks) == sorted(eager.ranks)
-        for rank in eager.ranks:
-            assert lazy.events_of(rank) == eager.events_of(rank)
-
 
 def _blob_cuts(data: bytes) -> list[int]:
     """File offsets that fall mid-way into the first, a middle and the
@@ -320,8 +287,8 @@ class TestTruncatedZlibColumns:
         path = tmp_path / "cut.rpt"
         for cut in _blob_cuts(rpt_bytes):
             path.write_bytes(rpt_bytes[:cut])
-            with pytest.raises(BinaryFormatError, match="file is truncated"):
-                read_binary(path)
+            with pytest.raises(TraceFormatError, match="file is truncated"):
+                read_trace(path)
 
     def test_corrupt_blob_raises_format_error(self, rpt_bytes, tmp_path):
         data = bytearray(rpt_bytes)
@@ -329,8 +296,8 @@ class TestTruncatedZlibColumns:
         data[cut - 4 : cut + 4] = b"\xff" * 8
         path = tmp_path / "bad.rpt"
         path.write_bytes(bytes(data))
-        with pytest.raises(BinaryFormatError, match="zlib"):
-            read_binary(path)
+        with pytest.raises(TraceFormatError, match="zlib"):
+            read_trace(path)
 
     def test_cli_exits_2_without_traceback(self, rpt_bytes, tmp_path):
         for i, cut in enumerate(_blob_cuts(rpt_bytes)):
@@ -381,3 +348,91 @@ class TestTornJsonlRecord:
             ["compare", str(torn), str(good), "--shards", "2"],
         ):
             _assert_bad_input(argv, " ".join(argv[:1] + argv[2:]))
+
+
+def _rewrite_jsonl_record(text: str, kind: str, mutate) -> str:
+    """Apply ``mutate`` to the first ``kind`` record of a ``.jsonl`` text."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        record = json.loads(line)
+        if record.get("record") == kind:
+            mutate(record)
+            lines[i] = json.dumps(record)
+            return "\n".join(lines) + "\n"
+    raise AssertionError(f"fixture trace has no {kind} record")
+
+
+#: Malformed definition/manifest records: (file name, mutation of the
+#: figure-3 trace's bytes, key the one-line diagnostic must name).
+_MALFORMED = {
+    "rpt-location-without-n": ("c.rpt", lambda b, t: _rewrite_rpt_header(
+        b, lambda h: h["locations"][0].pop("n")), "'n'"),
+    "rpt-column-without-offset": ("c.rpt", lambda b, t: _rewrite_rpt_header(
+        b, lambda h: h["locations"][1]["columns"]["ref"].pop("offset")), "'offset'"),
+    "rpt-locations-not-objects": ("c.rpt", lambda b, t: _rewrite_rpt_header(
+        b, lambda h: h.update(locations=[1, 2])), "'locations'"),
+    "rpt-attributes-not-object": ("c.rpt", lambda b, t: _rewrite_rpt_header(
+        b, lambda h: h.update(attributes=[1])), "'attributes'"),
+    "jsonl-region-without-name": ("c.jsonl", lambda b, t: _rewrite_jsonl_record(
+        t, "region", lambda r: r.pop("name")).encode(), "'name'"),
+    "jsonl-location-without-id": ("c.jsonl", lambda b, t: _rewrite_jsonl_record(
+        t, "location", lambda r: r.pop("id")).encode(), "'id'"),
+}
+
+
+class TestMalformedRecords:
+    """A malformed definition or manifest record is bad input for every
+    command that reads a trace: exit 2 with one ``error:`` line naming
+    the record and key.  Driven in-process to keep the matrix cheap."""
+
+    COMMANDS = (
+        ["info"],
+        ["analyze"],
+        ["lint"],
+        ["monitor"],
+        ["analyze", "--shards", "2"],
+    )
+
+    @pytest.mark.parametrize("case", sorted(_MALFORMED))
+    def test_every_command_exits_2(self, case, binary_bytes, jsonl_text,
+                                   tmp_path, capsys):
+        from repro.cli import main
+
+        name, build, key = _MALFORMED[case]
+        path = tmp_path / name
+        path.write_bytes(build(binary_bytes, jsonl_text))
+        for command, *flags in self.COMMANDS:
+            argv = [command, str(path), *flags]
+            assert main(argv) == 2, argv
+            lines = capsys.readouterr().err.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
+            assert key in lines[0], (argv, lines)
+
+    def test_follow_exits_2(self, jsonl_text, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(_MALFORMED["jsonl-location-without-id"][1](b"", jsonl_text))
+        assert main(["monitor", str(path), "--follow", "--idle-timeout", "0.2"]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "missing key 'id'" in lines[0], lines
+
+    def test_subprocess_exits_2_without_traceback(self, binary_bytes, tmp_path):
+        path = tmp_path / "c.rpt"
+        path.write_bytes(_MALFORMED["rpt-location-without-n"][1](binary_bytes, ""))
+        _assert_bad_input(["analyze", str(path)], "analyze on a location without n")
+
+
+def test_follow_rejects_event_count_mismatch(jsonl_text, tmp_path, capsys):
+    """``monitor`` and ``monitor --follow`` decode events records with
+    the same code, so both reject a record whose ``n`` is wrong."""
+    from repro.cli import main
+
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        _rewrite_jsonl_record(jsonl_text, "events", lambda r: r.update(n=r["n"] + 1))
+    )
+    for flags in ([], ["--follow", "--idle-timeout", "0.5"]):
+        assert main(["monitor", str(path), *flags]) == 2, flags
+        err = capsys.readouterr().err
+        assert "event count mismatch" in err, (flags, err)
