@@ -5,14 +5,16 @@ our :class:`~repro.core.streaming.StreamingAnalyzer` implements it.
 This benchmark measures the streaming path's event throughput against
 the batch pipeline and verifies the alert arrives *during* the stream,
 long before the run ends.  A second benchmark drives the vectorised
-steady-state path with large chunks over a multi-million-event stream
-and records throughput plus peak RSS into ``BENCH_streaming.json``
-(and the canonical repo-root copy ``BENCH_stream.json``).
+steady-state path over a multi-million-event stream at 256- and
+65,536-event chunks and records throughput plus peak RSS into
+``BENCH_streaming.json`` (and the canonical repo-root copy
+``BENCH_stream.json``).
 """
 
 import resource
 
 import numpy as np
+import pytest
 
 from repro.core import analyze_trace
 from repro.core.streaming import StreamingAnalyzer
@@ -115,16 +117,18 @@ def _dense_stream(n_invocations=120_000, inner=12):
     return regions, events
 
 
-def test_streaming_throughput(benchmark, report, bench_meta):
-    """Vectorised steady-state throughput on 64k-event chunks.
+@pytest.mark.parametrize("chunk", [256, 65536])
+def test_streaming_throughput(benchmark, report, bench_meta, chunk):
+    """Steady-state throughput at the monitor's default 256-event
+    chunks (the in-situ case, bounded by the fixed cost per fed chunk)
+    and on 64k-event chunks (bounded by the NumPy scans per event).
 
-    The acceptance bar for the cursor-engine PR is 5 M events/s on the
-    large-chunk path; the recorded number lands in
-    ``BENCH_streaming.json`` and the repo-root ``BENCH_stream.json``.
+    The acceptance bar for the large-chunk path is 5 M events/s; the
+    recorded numbers land in ``BENCH_streaming.json`` and the
+    repo-root ``BENCH_stream.json``.
     """
     regions, events = _dense_stream()
     n = len(events)
-    chunk = 65536
 
     def run():
         analyzer = StreamingAnalyzer(regions, 16, dominant="iteration")
@@ -149,12 +153,13 @@ def test_streaming_throughput(benchmark, report, bench_meta):
     )
 
     report(
-        "E12_streaming_throughput",
+        f"E12_streaming_throughput_{chunk}",
         [
-            "Vectorised streaming steady state (64k-event chunks)",
+            f"Vectorised streaming steady state ({chunk}-event chunks)",
             f"  events streamed: {n}",
             f"  best round: {best * 1e3:.1f} ms "
             f"({throughput / 1e6:.2f} M events/s)",
+            f"  per chunk: {best / -(-n // chunk) * 1e6:.1f} us",
             f"  peak RSS: {peak_rss / 1e6:.0f} MB",
             "  target: >= 5 M events/s on the large-chunk path",
         ],

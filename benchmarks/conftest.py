@@ -100,6 +100,7 @@ def _bench_record(request):
     git revision — the cross-PR perf trajectory in machine form.
     """
     import repro.obs as obs
+    from repro.perf import machine_fingerprint
 
     # Record telemetry counters alongside the timings: each test runs
     # under its own collector (unless one is already active) and its
@@ -143,7 +144,12 @@ def _bench_record(request):
     record = _BENCH_RECORDS.setdefault(name, {})
     record[request.node.name] = entry
     RESULTS_DIR.mkdir(exist_ok=True)
-    payload = {"bench": name, "git_sha": _git_sha(), "results": record}
+    payload = {
+        "bench": name,
+        "git_sha": _git_sha(),
+        "machine": machine_fingerprint(),
+        "results": record,
+    }
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     (RESULTS_DIR / f"BENCH_{name}.json").write_text(text)
     root_name = CANONICAL_ROOT_COPIES.get(name)

@@ -490,7 +490,8 @@ def build_parser() -> argparse.ArgumentParser:
                       "(default: the BENCH file's git_sha)")
     perf.add_argument("--machine", default=None,
                       help="override the machine fingerprint "
-                      "(default: hashed platform facts)")
+                      "(default: the BENCH file's machine, else hashed "
+                      "platform facts)")
     perf.add_argument("--timestamp", type=float, default=None,
                       help="override the recorded_at wall-clock stamp")
     perf.add_argument("--window", type=int, default=20,
@@ -928,17 +929,20 @@ def _cmd_monitor(args) -> int:
 
         last_metrics = _time.monotonic()
     total = 0
-    for batch in cursor:
-        if len(batch.events):
-            for alert in analyzer.feed(batch.rank, batch.events):
-                print(f"ALERT {alert}")
-            total += len(batch.events)
-        lag.set(float(getattr(cursor, "backlog_events", 0)))
-        if metrics_col is not None:
-            now = _time.monotonic()
-            if now - last_metrics >= 1.0:
-                write_metrics_file(metrics_col, metrics_path)
-                last_metrics = now
+    # One span over the whole loop: the cursor's reads nest inside it,
+    # and a span per chunk would cost more than a small chunk's feed.
+    with obs.span("stream.feed"):
+        for batch in cursor:
+            if len(batch.events):
+                for alert in analyzer.feed(batch.rank, batch.events):
+                    print(f"ALERT {alert}")
+                total += len(batch.events)
+            lag.set(float(getattr(cursor, "backlog_events", 0)))
+            if metrics_col is not None:
+                now = _time.monotonic()
+                if now - last_metrics >= 1.0:
+                    write_metrics_file(metrics_col, metrics_path)
+                    last_metrics = now
     print(
         f"streamed {total} events; dominant "
         f"{analyzer.dominant_name!r}; {len(analyzer.alerts)} alerts"

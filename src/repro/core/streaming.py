@@ -88,6 +88,21 @@ _G_LAG = obs.gauge("stream.lag_events")
 _ENTER = np.uint8(EventKind.ENTER)
 _LEAVE = np.uint8(EventKind.LEAVE)
 _METRIC = np.uint8(EventKind.METRIC)
+#: Nesting step of an event, indexed by kind: ENTER opens, LEAVE closes.
+_STEP = np.array([1, -1])
+
+
+def _row_median(rows: np.ndarray) -> np.ndarray:
+    """``np.median(rows, axis=1)`` via one sort: the middle element,
+    or ``(a + b) / 2.0`` of the middle two, as ``np.median`` computes
+    it; a row holding NaN gives NaN (NaN sorts last)."""
+    ordered = np.sort(rows, axis=1)
+    mid = ordered.shape[1] // 2
+    if ordered.shape[1] % 2:
+        med = ordered[:, mid]
+    else:
+        med = (ordered[:, mid - 1] + ordered[:, mid]) / 2.0
+    return np.where(np.isnan(ordered[:, -1]), np.nan, med)
 
 
 def _small_median(ordered: list) -> float:
@@ -281,6 +296,7 @@ class StreamingAnalyzer:
 
         self._sync_mask = self.classifier.mask_registry(regions)
         # (mask_registry accepts a bare RegionRegistry, see classify.py)
+        self._roles_of: int | None = None  # dominant _roles was built for
         self._streams: dict[int, _RankStream] = {}
         self.alerts: list[StreamAlert] = []
         self.window_evictions = 0
@@ -539,68 +555,56 @@ class StreamingAnalyzer:
     def _feed_chunk(self, stream, times, kinds, refs) -> list[StreamAlert]:
         """Vectorised equivalent of the per-event loop after selection.
 
-        Stack validation uses the lint engine's depth trick with a
-        carry stack across chunk boundaries; segment and sync
-        boundaries come from nesting trajectories (running sums over
-        the dominant/sync event subsets), and the handful of boundary
-        crossings per chunk are applied by a scalar loop that performs
-        the *same float operations in the same order* as the
-        per-event machine — results are bitwise chunk-size invariant.
+        Stack validation and the carry stack come from one sort by
+        frame level (:meth:`_check_structure`); segment and sync
+        boundaries from one coded scan of the nesting trajectories.
+        The handful of boundary crossings per chunk are applied by a
+        scalar loop that performs the *same float operations in the
+        same order* as the per-event machine — results are bitwise
+        chunk-size invariant.
         """
-        el_mask = (kinds == _ENTER) | (kinds == _LEAVE)
-        el_idx = np.flatnonzero(el_mask)
-        if not el_idx.size:
-            return []
-        el_refs = refs[el_idx]
-        pm = np.where(kinds[el_idx] == _ENTER, 1, -1)
-        d0 = len(stream.stack)
-        depth_after = d0 + np.cumsum(pm)
-        self._check_structure(stream, pm, el_refs, depth_after)
+        keep = kinds <= _LEAVE  # ENTER or LEAVE
+        if not keep.all():
+            if not keep.any():
+                return []
+            times, kinds, refs = times[keep], kinds[keep], refs[keep]
+        stack = self._check_structure(stream, times, kinds, refs)
 
-        # Boundary crossings of the sync and dominant nesting levels.
-        parts: list[tuple[np.ndarray, int]] = []
-        sync_sel = self._sync_mask[el_refs]
-        if sync_sel.any():
-            sidx = np.flatnonzero(sync_sel)
-            straj = stream.sync_nesting + np.cumsum(pm[sidx])
-            parts.append((sidx[(pm[sidx] > 0) & (straj == 1)], 0))
-            parts.append((sidx[(pm[sidx] < 0) & (straj == 0)], 1))
-            stream.sync_nesting += int(pm[sidx].sum())
-        dom_sel = el_refs == self.dominant
-        if dom_sel.any():
-            didx = np.flatnonzero(dom_sel)
-            dtraj = stream.dominant_nesting + np.cumsum(pm[didx])
-            parts.append((didx[(pm[didx] > 0) & (dtraj == 1)], 2))
-            parts.append((didx[(pm[didx] < 0) & (dtraj == 0)], 3))
-            stream.dominant_nesting += int(pm[didx].sum())
-
-        new_alerts: list[StreamAlert] = []
-        parts = [(p, op) for p, op in parts if p.size]
-        if parts:
-            pos = np.concatenate([p for p, _ in parts])
-            ops = np.concatenate(
-                [np.full(p.size, op, dtype=np.int8) for p, op in parts]
-            )
-            # Same-event ordering matches the per-event machine: the
-            # sync bookkeeping runs before the dominant bookkeeping.
-            order = np.lexsort((ops, pos))
-            crossing_times = times[el_idx[pos[order]]].tolist()
-            crossing_ops = ops[order].tolist()
-            # Locals for the scalar loop; completed segments are
-            # collected and post-processed in one batch.
-            sync_start = stream.sync_start
-            seg_start = stream.segment_start
-            seg_sync = stream.segment_sync
-            c_start: list[float] = []
-            c_stop: list[float] = []
-            c_sync: list[float] = []
-            for t, op in zip(crossing_times, crossing_ops):
-                if op == 0:  # sync episode begins
+        # Crossing codes: bit 0 where the sync nesting crosses 0 <-> 1,
+        # bit 1 where the dominant nesting does.  An enter crosses when
+        # the nesting after it is 1, a leave when it is 0, i.e. when
+        # ``2 * nesting == step + 1`` (never, for a step of 0).
+        role = self._role_table().take(refs)
+        pm = _STEP.take(kinds)
+        sync = pm * (role & 1)
+        dom = pm * (role >> 1)
+        sync_traj = np.cumsum(sync)
+        dom_traj = np.cumsum(dom)
+        code = (2 * sync_traj == sync + (1 - 2 * stream.sync_nesting)) | (
+            (2 * dom_traj == dom + (1 - 2 * stream.dominant_nesting)) << 1
+        )
+        stream.sync_nesting += int(sync_traj[-1])
+        stream.dominant_nesting += int(dom_traj[-1])
+        stream.stack = stack
+        hits = code.nonzero()[0]
+        sync_start = stream.sync_start
+        seg_start = stream.segment_start
+        seg_sync = stream.segment_sync
+        c_start: list[float] = []
+        c_stop: list[float] = []
+        c_sync: list[float] = []
+        for t, op, leave in zip(
+            times[hits].tolist(), code[hits].tolist(), kinds[hits].tolist()
+        ):
+            # Sync bookkeeping runs before dominant bookkeeping on the
+            # same event, as in the per-event machine.
+            if op & 1:
+                if not leave:  # sync episode begins
                     sync_start = t
-                elif op == 1:  # sync episode ends
-                    if seg_start is not None:
-                        seg_sync += t - max(sync_start, seg_start)
-                elif op == 2:  # dominant segment opens
+                elif seg_start is not None:  # sync episode ends
+                    seg_sync += t - max(sync_start, seg_start)
+            if op & 2:
+                if not leave:  # dominant segment opens
                     seg_start = t
                     seg_sync = 0.0
                 elif seg_start is not None:  # segment closes
@@ -608,69 +612,64 @@ class StreamingAnalyzer:
                     c_stop.append(t)
                     c_sync.append(seg_sync)
                     seg_start = None
-            stream.sync_start = sync_start
-            stream.segment_start = seg_start
-            stream.segment_sync = seg_sync
-            if c_start:
-                new_alerts = self._complete_batch(
-                    stream, c_start, c_stop, c_sync
-                )
+        stream.sync_start = sync_start
+        stream.segment_start = seg_start
+        stream.segment_sync = seg_sync
+        if not c_start:
+            return []
+        return self._complete_batch(stream, c_start, c_stop, c_sync)
 
-        # Carry stack: frames still open after this chunk.
-        survivors = min(d0, int(depth_after.min()))
-        suffix_min = np.minimum.accumulate(depth_after[::-1])[::-1]
-        open_enters = np.flatnonzero((pm > 0) & (suffix_min == depth_after))
-        stream.stack = stream.stack[:survivors] + [
-            (int(el_refs[i]), float(times[el_idx[i]])) for i in open_enters
-        ]
-        return new_alerts
+    def _role_table(self) -> np.ndarray:
+        """Per-region roles for the chunk scan: bit 0 sync, bit 1 the
+        dominant function (built once per selected dominant)."""
+        if self._roles_of != self.dominant:
+            roles = self._sync_mask.astype(np.int64)
+            if 0 <= self.dominant < roles.size:
+                roles[self.dominant] |= 2
+            self._roles, self._roles_of = roles, self.dominant
+        return self._roles
 
-    def _check_structure(self, stream, pm, el_refs, depth_after) -> None:
-        """Raise on the first leave that does not close the open region.
+    def _check_structure(self, stream, times, kinds, refs) -> list:
+        """Raise on the first leave that does not close the open region;
+        return the frames still open after the chunk (the carry stack).
 
-        Equivalent to the per-event stack machine: for any prefix that
-        the per-event loop would accept, the depth-trick pairing *is*
-        the stack pairing, so the earliest failing candidate below is
-        exactly the event the scalar loop would have raised on.
+        The frames carried in from earlier chunks are prepended as
+        virtual enters, and the lint engine's depth trick assigns every
+        event its frame level.  After one stable sort by level, each
+        enter is followed on its level by the leave that closes it, and
+        the last enter of a level is a frame left open.  For any prefix
+        the per-event loop accepts this pairing *is* the stack pairing,
+        so the earliest failing leave is exactly the event the scalar
+        loop would have raised on.
         """
-        under = np.flatnonzero(depth_after < 0)
-        limit = int(under[0]) if under.size else pm.size
-        candidates: list[tuple[int, str]] = []
-        if under.size:
-            candidates.append((int(under[0]), "TL001"))
-        if limit:
-            da = depth_after[:limit]
-            pmv = pm[:limit]
-            frame_depth = np.where(pmv > 0, da, da + 1)
-            order = np.argsort(frame_depth, kind="stable")
-            fd_sorted = frame_depth[order]
-            starts = np.flatnonzero(
-                np.r_[True, fd_sorted[1:] != fd_sorted[:-1]]
-            )
-            ends = np.r_[starts[1:], fd_sorted.size]
-            for s, e in zip(starts, ends):
-                level_idx = order[s:e]  # ascending positions, one level
-                j = 0
-                if pmv[level_idx[0]] < 0:
-                    # Leading leave closes a frame carried in from a
-                    # previous chunk.
-                    carried = stream.stack[int(fd_sorted[s]) - 1][0]
-                    if int(el_refs[level_idx[0]]) != carried:
-                        candidates.append((int(level_idx[0]), "TL003"))
-                    j = 1
-                rem = level_idx[j:]
-                n_pairs = rem.size // 2
-                if n_pairs:
-                    enters = rem[: 2 * n_pairs : 2]
-                    leaves = rem[1 : 2 * n_pairs : 2]
-                    bad = np.flatnonzero(el_refs[enters] != el_refs[leaves])
-                    if bad.size:
-                        candidates.append((int(leaves[bad[0]]), "TL003"))
-        if candidates:
-            first, code = min(candidates)
+        stack = stream.stack
+        d0 = len(stack)
+        if d0:
+            kinds = np.concatenate((np.zeros(d0, kinds.dtype), kinds))
+            refs = np.concatenate(([r for r, _ in stack], refs))
+        depth = np.cumsum(_STEP.take(kinds))
+        limit, error = kinds.size, None
+        if depth.min() < 0:  # a leave with nothing open
+            limit = int((depth < 0).argmax())
+            error = (limit, "TL001")
+        level = depth[:limit] + kinds[:limit]
+        order = np.argsort(level, kind="stable")
+        level = level[order]
+        enter = kinds[order] == _ENTER
+        ref = refs[order]
+        same = level[1:] == level[:-1]
+        bad = (same & enter[:-1] & (ref[1:] != ref[:-1])).nonzero()[0]
+        if bad.size:
+            error = (int(order[bad + 1].min()), "TL003")
+        if error is not None:
             raise StreamStructureError(
-                stream.rank, int(el_refs[first]), code
+                stream.rank, int(refs[error[0]]), error[1]
             )
+        opened = order[enter & np.concatenate((~same, [True]))].tolist()
+        return [
+            stack[i] if i < d0 else (int(refs[i]), float(times[i - d0]))
+            for i in opened
+        ]
 
     # .. segment completion ............................................
 
@@ -758,14 +757,14 @@ class StreamingAnalyzer:
             return alerts
         rest = sos[n_scalar:]
         if window >= 8:
-            hist = np.empty(window + len(rest))
-            hist[:window] = history
-            hist[window:] = rest
-            win = np.lib.stride_tricks.sliding_window_view(hist, window)[
-                : len(rest)
-            ]
-            med = np.median(win, axis=1)
-            mad = np.median(np.abs(win - med[:, None]), axis=1) * _MAD_SCALE
+            hist = np.array([*history, *rest])
+            # Row i is the window segment i is tested against (a view;
+            # the ndarray constructor is far cheaper than stride_tricks).
+            win = np.ndarray(
+                (len(rest), window), hist.dtype, hist, 0, hist.strides * 2
+            )
+            med = _row_median(win)
+            mad = _row_median(np.abs(win - med[:, None])) * _MAD_SCALE
             scale = np.maximum(mad, 0.01 * np.abs(med))
             svals = hist[window:]
             with np.errstate(divide="ignore", invalid="ignore"):

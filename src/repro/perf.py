@@ -166,9 +166,11 @@ def record_bench_files(
 
     Returns the number of rows added or replaced.  Non-dict result
     entries (legacy flat schemas) are skipped — the harness only emits
-    per-test dicts since the dual-copy writer landed.
+    per-test dicts since the dual-copy writer landed.  Rows are filed
+    under ``machine`` when given, else under the file's own ``machine``
+    (the fingerprint of the machine that measured it), else under this
+    machine's fingerprint.
     """
-    machine = machine or machine_fingerprint()
     recorded_at = time.time() if timestamp is None else float(timestamp)
     n = 0
     for path in paths:
@@ -176,6 +178,9 @@ def record_bench_files(
             doc = json.load(fh)
         bench = str(doc.get("bench") or os.path.basename(path))
         row_sha = sha or str(doc.get("git_sha") or "")
+        row_machine = machine or str(doc.get("machine") or "") or (
+            machine_fingerprint()
+        )
         results = doc.get("results", {})
         if not isinstance(results, dict):
             continue
@@ -187,7 +192,7 @@ def record_bench_files(
                 "test": test,
                 "wall_s": float(entry["wall_s"]),
                 "git_sha": row_sha,
-                "machine": machine,
+                "machine": row_machine,
                 "recorded_at": recorded_at,
             }
             eps = entry.get("events_per_s")

@@ -160,39 +160,35 @@ class IndexCursor(EventCursor):
 
     def _batches(self) -> Iterator[EventBatch]:
         index = self._index
+        step = self.chunk_events and int(self.chunk_events)
         for rank in self._ranks:
             n = index.num_events_of(rank)
             if n == 0:
                 yield EventBatch(rank, EventList.empty(), True)
                 continue
-            starts = _chunk_bounds(n, self.chunk_events)
+            starts = _chunk_bounds(n, step)
             if index.supports_slices(rank, self._columns) and len(starts) > 1:
-                for i, start in enumerate(starts):
-                    stop = min(n, start + int(self.chunk_events))
-                    events = index.load_events(
-                        rank, columns=self._columns, start=start, stop=stop
+                batches = (
+                    index.load_events(rank, columns=self._columns,
+                                      start=start, stop=min(n, start + step))
+                    for start in starts
+                )
+            else:
+                whole = index.load([rank], columns=self._columns).events_of(rank)
+                batches = (
+                    (whole,) if len(starts) == 1
+                    else (whole[start : start + step] for start in starts)
+                )
+            row_bytes = None
+            for i, events in enumerate(batches):
+                if row_bytes is None:  # the projection is fixed per rank
+                    row_bytes = sum(
+                        getattr(events, c).itemsize
+                        for c in events.loaded_columns
                     )
-                    self._count(events)
-                    yield EventBatch(rank, events, i == len(starts) - 1)
-                continue
-            whole = index.load(
-                [rank], columns=self._columns
-            ).events_of(rank)
-            if len(starts) == 1:
-                self._count(whole)
-                yield EventBatch(rank, whole, True)
-                continue
-            for i, start in enumerate(starts):
-                events = whole[start : start + int(self.chunk_events)]
-                self._count(events)
+                _C_INDEX_EVENTS.add(len(events))
+                _C_INDEX_BYTES.add(len(events) * row_bytes)
                 yield EventBatch(rank, events, i == len(starts) - 1)
-
-    @staticmethod
-    def _count(events: EventList) -> None:
-        _C_INDEX_EVENTS.add(len(events))
-        _C_INDEX_BYTES.add(
-            sum(getattr(events, c).nbytes for c in events.loaded_columns)
-        )
 
 
 # ---------------------------------------------------------------------------

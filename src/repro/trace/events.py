@@ -284,6 +284,16 @@ class EventList:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
+            if index.step is None or index.step == 1:
+                # A contiguous slice of validated read-only columns is
+                # itself valid: share the views, skip re-validation.
+                view = object.__new__(EventList)
+                for f in _FIELDS:
+                    col = getattr(self, f)
+                    if not isinstance(col, _MissingColumn):
+                        col = col[index]
+                    object.__setattr__(view, f, col)
+                return view
             loaded = self.loaded_columns
             if len(loaded) != len(_FIELDS):
                 return EventList.projected(

@@ -12,6 +12,7 @@ meet the same checks and report the same defect the same way.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import mmap
@@ -225,7 +226,9 @@ class _RankChunk:
         self.n_events = n_events
         self.offset = offset  # absolute file offset of the chunk
         self.length = length
-        self.columns = columns  # binary only: per-column manifest
+        # binary only: column -> (offset, length, dtype string, codec,
+        # parsed dtype)
+        self.columns = columns
 
 
 class TraceIndex:
@@ -336,7 +339,7 @@ class TraceIndex:
                     )
                 if length:
                     intervals.append((off, off + length, loc_id, col))
-                extents[col] = (base + off, length, spec["dtype"], codec)
+                extents[col] = (base + off, length, spec["dtype"], codec, dtype)
             lo = min(extent[0] for extent in extents.values())
             hi = max(extent[0] + extent[1] for extent in extents.values())
             self._chunks[loc_id] = _RankChunk(
@@ -365,6 +368,7 @@ class TraceIndex:
             self.name = header.get("name", "trace")
             self.attributes = _header_attributes(header)
 
+            ended = False
             while True:
                 offset = fp.tell()
                 raw = fp.readline()
@@ -373,6 +377,10 @@ class TraceIndex:
                 line = raw.strip()
                 if not line:
                     continue
+                if ended:
+                    raise TraceFormatError(
+                        f"record after the end sentinel at byte {offset}"
+                    )
                 match = _EVENTS_PREFIX_RE.match(line.decode("utf-8", "replace"))
                 if match:
                     loc_id, n = int(match.group(1)), int(match.group(2))
@@ -390,6 +398,10 @@ class TraceIndex:
                     if _add_definition_record(
                         record, self.regions, self.metrics, self.locations
                     ):
+                        continue
+                    if record.get("record") == "end":
+                        # The live protocol's clean end of the run.
+                        ended = True
                         continue
                     if record.get("record") != "events":
                         raise TraceFormatError(
@@ -522,9 +534,8 @@ class TraceIndex:
         buf = self._buffer()
         arrays: dict[str, np.ndarray] = {}
         for col in (_BIN_COLUMNS if columns is None else columns):
-            offset, length, dtype_str, codec = chunk.columns[col]
+            offset, length, _dtype_str, codec, dtype = chunk.columns[col]
             where = f"location {chunk.rank} column {col}"
-            dtype = parse_dtype(dtype_str, where)
             if codec == "raw":
                 # Blob length == n * itemsize was validated at index
                 # time, so a view over the mmap is safe and zero-copy.
@@ -620,11 +631,13 @@ class TraceIndex:
         count = max(stop - start, 0)
         buf = self._buffer()
         arrays: dict[str, np.ndarray] = {}
-        with obs.span("io.load"), open(self.path, "rb") as fp:
+        # The file is opened only when no mmap serves the slice.
+        with obs.span("io.load"), (
+            open(self.path, "rb") if buf is None else contextlib.nullcontext()
+        ) as fp:
             for col in project:
-                offset, _length, dtype_str, _codec = chunk.columns[col]
+                offset, _length, _dtype_str, _codec, dtype = chunk.columns[col]
                 where = f"location {rank} column {col}"
-                dtype = parse_dtype(dtype_str, where)
                 byte_off = offset + start * dtype.itemsize
                 if buf is not None:
                     try:
@@ -728,7 +741,7 @@ class TraceIndex:
         h = hashlib.blake2b(digest_size=_DIGEST_SIZE)
         with open(self.path, "rb") as fp:
             for col in _BIN_COLUMNS:
-                offset, length, _dtype_str, codec = chunk.columns[col]
+                offset, length, _dtype_str, codec, _dtype = chunk.columns[col]
                 where = f"location {chunk.rank} column {col}"
                 blob = self._read_column_blob(fp, offset, length, where)
                 h.update(col.encode("ascii"))

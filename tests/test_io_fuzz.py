@@ -309,25 +309,62 @@ class TestTruncatedZlibColumns:
                 )
 
 
-def _assert_bad_input(argv: list[str], where: str) -> None:
-    """Run ``repro argv`` in a fresh interpreter; it must exit 2 with
-    one ``error:`` line and no traceback."""
+def _run_repro(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run ``repro argv`` in a fresh interpreter."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "repro", *argv],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def _assert_bad_input(argv: list[str], where: str) -> None:
+    """Run ``repro argv`` in a fresh interpreter; it must exit 2 with
+    one ``error:`` line and no traceback."""
+    proc = _run_repro(argv)
     assert proc.returncode == 2, (where, proc.stderr)
     assert "Traceback" not in proc.stderr, where
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), (where, proc.stderr)
+
+
+class TestJsonlEndSentinel:
+    """A finished live stream ends in the ``{"record": "end"}`` sentinel
+    that ``monitor --follow`` stops at; the one reader takes it as the
+    end of the trace on every command."""
+
+    END = '{"record": "end"}\n'
+
+    def test_commands_accept_the_sentinel(self, jsonl_text, tmp_path):
+        plain = tmp_path / "plain" / "t.jsonl"
+        ended = tmp_path / "ended" / "t.jsonl"
+        for path, text in ((plain, jsonl_text), (ended, jsonl_text + self.END)):
+            path.parent.mkdir()
+            path.write_text(text)
+            proc = _run_repro(
+                ["analyze", str(path), "--json", str(path.parent / "r.json")]
+            )
+            assert proc.returncode == 0, proc.stderr
+        report = (ended.parent / "r.json").read_bytes()
+        assert report == (plain.parent / "r.json").read_bytes()
+        for command in ("info", "lint", "monitor"):
+            proc = _run_repro([command, str(ended)])
+            assert proc.returncode == 0, (command, proc.stderr)
+
+    def test_record_after_the_sentinel_is_rejected(self, jsonl_text, tmp_path):
+        lines = jsonl_text.splitlines(keepends=True)
+        path = tmp_path / "t.jsonl"
+        for tail in (lines[-1], self.END):
+            path.write_text("".join(lines[:-1]) + self.END + tail)
+            with pytest.raises(TraceFormatError, match="after the end sentinel"):
+                read_trace(path)
 
 
 class TestTornJsonlRecord:

@@ -680,6 +680,12 @@ class TestCLI:
         ]) == 0
         assert "trace.fingerprint" in capsys.readouterr().out
 
+    def test_monitor_stats_reports_one_feed_span(self, trace_path, capsys):
+        assert main(["monitor", str(trace_path), "--chunk", "64", "--stats"]) == 0
+        out = capsys.readouterr().out
+        # One span for the whole feed loop, not one per chunk.
+        assert re.search(r"^stream\.feed +1 ", out, re.M), out
+
     def test_self_trace_bit_stable_without_mmap(
         self, trace_path, tmp_path, monkeypatch, capsys
     ):

@@ -114,6 +114,27 @@ class TestHistory:
         ) == 2
         assert len(history.rows) == 2
 
+    def test_record_files_rows_under_the_measuring_machine(self, tmp_path):
+        """A BENCH file's own ``machine`` wins over the fingerprint of
+        the machine ingesting it; an explicit ``machine`` wins over both."""
+        bench = tmp_path / "BENCH_demo.json"
+        bench.write_text(json.dumps({
+            "bench": "demo", "git_sha": "cafe123", "machine": "measurer",
+            "results": {"test_a": {"wall_s": 0.5}},
+        }))
+        history = PerfHistory()
+        record_bench_files(history, [bench], timestamp=1.0)
+        assert [r["machine"] for r in history.rows] == ["measurer"]
+        record_bench_files(history, [bench], machine="ci", timestamp=1.0)
+        assert [r["machine"] for r in history.rows] == ["measurer", "ci"]
+        legacy = tmp_path / "BENCH_old.json"
+        legacy.write_text(json.dumps({
+            "bench": "old", "git_sha": "cafe123",
+            "results": {"test_a": {"wall_s": 0.5}},
+        }))
+        record_bench_files(history, [legacy], timestamp=1.0)
+        assert history.rows[-1]["machine"] == machine_fingerprint()
+
     def test_machine_fingerprint_is_stable(self):
         fp = machine_fingerprint()
         assert fp == machine_fingerprint()

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import analyze_trace
-from repro.core.streaming import StreamingAnalyzer
+from repro.core.streaming import StreamingAnalyzer, StreamStructureError
 from repro.sim.workloads.synthetic import SyntheticConfig, generate
 from repro.trace.builder import TraceBuilder
-from repro.trace.definitions import Paradigm
+from repro.trace.definitions import Paradigm, RegionRegistry
+from repro.trace.events import EventKind, EventList
 
 
 @pytest.fixture(scope="module")
@@ -443,3 +445,190 @@ class TestMetricWindow:
         trace = self._metric_trace()
         with pytest.raises(ValueError, match="metric_window"):
             StreamingAnalyzer(trace.regions, 1, metric_window=0.0)
+
+
+# -- chunk processor against the per-event machine ---------------------------
+
+_REGIONS = RegionRegistry()
+_MAIN = _REGIONS.register("main")
+_ITER = _REGIONS.register("iter")
+_WORK = _REGIONS.register("work")
+_ALLREDUCE = _REGIONS.register("MPI_Allreduce", paradigm=Paradigm.MPI)
+_WAIT = _REGIONS.register("MPI_Wait", paradigm=Paradigm.MPI)
+_E, _L, _M = int(EventKind.ENTER), int(EventKind.LEAVE), int(EventKind.METRIC)
+
+
+def _program(rng, n_iter):
+    """``main { iter { work | sync { sync } | iter { sync } }* }*`` with
+    integer durations from a few values, so SOS values tie often, and
+    a few large outliers, so windows alert."""
+    events, t = [], 0
+    def call(region, body=()):
+        nonlocal t
+        events.append((t, _E, region))
+        for inner in body:
+            inner()
+        t += int(rng.choice([0, 1, 1, 2]))
+        events.append((t, _L, region))
+    def child():
+        nonlocal t
+        pick = rng.integers(4)
+        if pick == 0:
+            call(_WORK)
+            if rng.random() < 0.05:
+                t += int(rng.integers(20, 60))
+                events[-1] = (t, _L, _WORK)
+        elif pick == 1:
+            call(_ALLREDUCE, [lambda: call(_WAIT)] * int(rng.integers(2)))
+        elif pick == 2:
+            call(_ITER, [lambda: call(_ALLREDUCE)])
+        else:
+            events.append((t, _M, 0))  # skipped by the segment machine
+    call(_MAIN, [lambda: call(_ITER, [child] * int(rng.integers(1, 5)))] * n_iter)
+    return events
+
+
+def _mutate(events, rng, how):
+    events = list(events)
+    leaves = [i for i, e in enumerate(events) if e[1] == _L]
+    if how == "drop-enter":  # TL001 once main unwinds past empty
+        del events[0]
+    elif how == "stray-leave":  # TL001 or TL003, wherever it lands
+        i = int(rng.integers(len(events)))
+        events.insert(i, (events[i][0], _L, int(rng.integers(5))))
+    elif how == "retarget-leave":  # TL003
+        i = leaves[int(rng.integers(len(leaves)))]
+        region = events[i][2]
+        events[i] = (events[i][0], _L, (region + 1 + int(rng.integers(4))) % 5)
+    return events
+
+
+def _event_list(events):
+    arr = np.asarray(events, dtype=np.float64).reshape(-1, 3)
+    return EventList.projected({
+        "time": arr[:, 0], "kind": arr[:, 1].astype(np.uint8),
+        "ref": arr[:, 2].astype(np.int32),
+    })
+
+
+def _observe(streams, dominant, window, history_limit, cuts_of):
+    """Feed every rank's stream in the pieces ``cuts_of(n)`` delimits;
+    ``cuts_of=None`` drives the per-event machine instead."""
+    analyzer = StreamingAnalyzer(
+        _REGIONS, len(streams), dominant=dominant, window=window,
+        history_limit=history_limit,
+    )
+    try:
+        for rank, events in enumerate(streams):
+            if cuts_of is None:
+                stream = analyzer._stream(rank)
+                analyzer.alerts.extend(analyzer._feed_warmup(
+                    stream, events.time, events.kind, events.ref))
+                continue
+            bounds = [0, *cuts_of(len(events)), len(events)]
+            for lo, hi in zip(bounds, bounds[1:]):
+                analyzer.feed(rank, events[lo:hi])
+    except StreamStructureError as err:
+        return ("error", type(err), str(err), err.code, err.rank)
+    segments = {
+        rank: [(s.index, s.t_start, s.t_stop, s.sync_time)
+               for s in analyzer.segments(rank)]
+        for rank in range(len(streams))
+    }
+    alerts = [
+        (a.segment.rank, a.segment.index, a.segment.t_start,
+         a.segment.t_stop, a.segment.sync_time, a.zscore, a.window)
+        for a in analyzer.alerts
+    ]
+    return (segments, alerts, analyzer.per_rank_total(),
+            analyzer.window_evictions)
+
+
+@st.composite
+def _stream_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    how = draw(st.sampled_from(
+        ["clean", "clean", "drop-enter", "stray-leave", "retarget-leave"]))
+    streams = []
+    for rank in range(2):
+        events = _program(rng, draw(st.integers(5, 60)))
+        if rank == 1 and how != "clean":
+            events = _mutate(events, rng, how)
+        streams.append(_event_list(events))
+    cuts = draw(st.lists(st.integers(0, 10**6), max_size=12))
+    return streams, how, cuts
+
+
+class TestChunkProcessorMatchesPerEventMachine:
+    """``feed`` at any chunking equals the scalar ``_enter``/``_leave``
+    machine bitwise: segments, alerts, totals, evictions and errors."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=_stream_cases(),
+        dominant=st.sampled_from(["iter", "MPI_Allreduce"]),
+        window=st.sampled_from([9, 32, 33]),
+        history_limit=st.sampled_from([None, 4, 40]),
+    )
+    def test_bitwise_equal_at_any_chunking(
+        self, case, dominant, window, history_limit
+    ):
+        streams, how, cuts = case
+        reference = _observe(streams, dominant, window, history_limit, None)
+        if how == "clean":
+            assert reference[0] and any(reference[0].values())
+        else:
+            assert reference[0] == "error"
+        chunkings = [
+            lambda n, k=k: range(k, n, k) for k in (1, 3, 64, 256)
+        ] + [lambda n: [], lambda n: sorted({c % (n + 1) for c in cuts})]
+        for cuts_of in chunkings:
+            got = _observe(streams, dominant, window, history_limit, cuts_of)
+            assert got == reference
+
+    def test_error_codes_reached(self):
+        """The mutations above reach both structure diagnostics, and a
+        mismatch whose enter sits in an earlier chunk."""
+        rng = np.random.default_rng(5)
+        clean = _program(rng, 20)
+        codes = set()
+        for how in ("drop-enter", "retarget-leave"):
+            streams = [_event_list(_mutate(clean, rng, how))]
+            ref = _observe(streams, "iter", 32, None, None)
+            assert ref == _observe(
+                streams, "iter", 32, None, lambda n: range(1, n))
+            codes.add(ref[3])
+        assert codes == {"TL001", "TL003"}
+
+    @pytest.mark.parametrize("cycle", [(2,), (2, 3)])
+    def test_tied_values_alert_identically(self, cycle):
+        """Windows of one repeated SOS value (MAD 0), and of two values
+        whose even-window median falls between them."""
+        events, t = [], 0
+        for i in range(80):
+            d = 30 if i in (40, 70) else cycle[i % len(cycle)]
+            events += [(t, _E, _ITER), (t + d, _L, _ITER)]
+            t += d
+        streams = [_event_list(events)]
+        for window in (9, 32, 33):
+            ref = _observe(streams, "iter", window, 10, None)
+            assert len(ref[1]) >= 2  # the two outliers at least
+            for k in (1, 3, 64):
+                assert _observe(streams, "iter", window, 10,
+                                lambda n, k=k: range(k, n, k)) == ref
+
+    @pytest.mark.parametrize("width", [9, 32, 33])
+    def test_row_median_matches_numpy(self, width):
+        from repro.core.streaming import _row_median
+
+        rng = np.random.default_rng(width)
+        rows = rng.integers(0, 4, size=(40, width)).astype(np.float64)
+        rows[1:, :3] = rng.normal(size=(39, 3))
+        rows[5, 7] = np.nan
+        rows[6, :] = np.nan
+        rows[7, 2] = np.inf
+        rows[8, 1:3] = (-np.inf, np.inf)
+        got = _row_median(rows)
+        want = np.median(rows, axis=1)
+        assert np.isnan(got[[5, 6]]).all()
+        assert got.tobytes() == want.tobytes()
